@@ -978,10 +978,13 @@ let try_dual_reopt st (wb : Status.Basis.t) =
 
 type dual_result =
   | Dual_optimal  (** Primal feasibility restored; polish and extract. *)
-  | Dual_no_entering
-      (** A ratio test found no entering column. The row certifies primal
-          infeasibility, but the primal fallback re-derives the verdict
-          rather than trusting a crashed basis with it. *)
+  | Dual_no_entering of float array option
+      (** A ratio test found no entering column. When pass 1 found none,
+          the pivot row's multipliers [rho = B^-T e_r] ride along as a
+          candidate Farkas ray; {!farkas_certifies} decides from the
+          original data whether it proves infeasibility, and an
+          unverified ray (or a pass-2 exit, which carries none) falls
+          back to the primal ladder. *)
   | Dual_stalled  (** Persistent dual degeneracy; fall back. *)
   | Dual_iteration_limit
 
@@ -1073,7 +1076,7 @@ let run_dual st =
        done;
        if !theta_max = infinity then begin
          Obs.Span.end_ ratio_sp;
-         result := Dual_no_entering;
+         result := Dual_no_entering (Some rho);
          raise Exit
        end;
        (* Pass 2: among columns whose exact ratio fits under the relaxed
@@ -1105,7 +1108,7 @@ let run_dual st =
        done;
        Obs.Span.end_ ratio_sp;
        if !enter < 0 then begin
-         result := Dual_no_entering;
+         result := Dual_no_entering None;
          raise Exit
        end;
        let enter = !enter in
@@ -1177,15 +1180,47 @@ let run_dual st =
    with Exit -> ());
   !result
 
+(* Every x with [A x = b] satisfies [y.b = sum_j (y.A_j) x_j], so [y.b]
+   outside the range of that sum over the box proves infeasibility.
+   Artificials are left out: they are frozen at zero and not part of the
+   program. Nothing here reads the factorization, so a stale or
+   inaccurate basis inverse can only produce a ray that fails the test. *)
+let farkas_certifies (sf : Standard_form.t) y =
+  let yb = ref 0. and yb_abs = ref 0. in
+  Array.iteri
+    (fun i bi ->
+      let t = y.(i) *. bi in
+      yb := !yb +. t;
+      yb_abs := !yb_abs +. abs_float t)
+    sf.Standard_form.b;
+  let lo = ref 0. and lo_abs = ref 0. and hi = ref 0. and hi_abs = ref 0. in
+  for j = 0 to Standard_form.total_vars sf - 1 do
+    let g = Csc.dot_col sf.Standard_form.a j y in
+    if g <> 0. then begin
+      let l = sf.Standard_form.lb.(j) and u = sf.Standard_form.ub.(j) in
+      let lo_t, hi_t = if g > 0. then (g *. l, g *. u) else (g *. u, g *. l) in
+      lo := !lo +. lo_t;
+      lo_abs := !lo_abs +. abs_float lo_t;
+      hi := !hi +. hi_t;
+      hi_abs := !hi_abs +. abs_float hi_t
+    end
+  done;
+  let tol scale = 1e-6 *. (1. +. scale +. !yb_abs) in
+  (Float.is_finite !hi && !yb > !hi +. tol !hi_abs)
+  || (Float.is_finite !lo && !yb < !lo -. tol !lo_abs)
+
 (* Dual re-optimization driver over a state [try_dual_reopt] accepted.
-   Returns [None] to request the primal fallback. On success the state is
-   primal feasible and (within tolerance) dual feasible, so the closing
-   primal polish typically prices out immediately — it exists to wash out
-   incremental drift and absorb any sub-tolerance residue as ordinary
-   phase-2 pivots. *)
+   Returns [None] to request the primal fallback. A pass-1 dual ray that
+   passes {!farkas_certifies} ends the solve as [Infeasible] with no
+   phase 1. On dual optimality the state is primal feasible and (within
+   tolerance) dual feasible, so the closing primal polish typically
+   prices out immediately — it exists to wash out incremental drift and
+   absorb any sub-tolerance residue as ordinary phase-2 pivots. *)
 let drive_dual st =
   match Obs.Span.with_ "lp.dual" (fun () -> run_dual st) with
-  | Dual_no_entering | Dual_stalled | Dual_iteration_limit -> None
+  | Dual_no_entering (Some rho) when farkas_certifies st.sf rho ->
+      Some Status.Infeasible
+  | Dual_no_entering _ | Dual_stalled | Dual_iteration_limit -> None
   | Dual_optimal -> (
       reset_phase_controls st;
       match Obs.Span.with_ "lp.phase2" (fun () -> run_phase st) with
@@ -1238,6 +1273,7 @@ let m_warm_accepted = Obs.Metrics.counter "simplex.warm_accepted"
 let m_dual_reopts = Obs.Metrics.counter "simplex.dual_reopts"
 let m_dual_pivots = Obs.Metrics.counter "simplex.dual_pivots"
 let m_warm_fell_back = Obs.Metrics.counter "simplex.warm_fell_back"
+let m_discarded_pivots = Obs.Metrics.counter "simplex.discarded_pivots"
 let h_pivots = Obs.Metrics.histogram "simplex.pivots_per_solve"
 
 let outcome_name = function
@@ -1246,9 +1282,25 @@ let outcome_name = function
   | Status.Unbounded -> "unbounded"
   | Status.Iteration_limit -> "iteration_limit"
 
-let record_solve ~ms st outcome =
+(* Which proof backs an [Infeasible] verdict: a dual ray that passed
+   {!farkas_certifies} (only the dual path returns [Infeasible] with
+   [warm = Dual_reopt]) or a primal phase 1 that ended with positive
+   artificials. *)
+let infeasible_by st = function
+  | Status.Infeasible -> (
+      match st.warm with
+      | Status.Dual_reopt -> "farkas"
+      | Status.No_warm_start | Status.Warm_accepted _ | Status.Warm_fell_back ->
+          "phase1")
+  | Status.Optimal _ | Status.Unbounded | Status.Iteration_limit -> "none"
+
+(* [dual_attempt_pivots] are the pivots of a dual re-opt the solve
+   abandoned for the primal ladder: real work that [iterations], which
+   counts only the run that produced the outcome, leaves out. *)
+let record_solve ~ms ~dual_attempt_pivots st outcome =
   Obs.Metrics.incr m_solves;
   Obs.Metrics.add m_pivots st.iterations;
+  Obs.Metrics.add m_discarded_pivots dual_attempt_pivots;
   Obs.Metrics.add m_refactorizations st.refactorizations;
   Obs.Metrics.add m_bound_flips st.bound_flips;
   Obs.Metrics.add m_dual_pivots st.dual_pivots;
@@ -1280,6 +1332,8 @@ let record_solve ~ms st outcome =
             | Status.Warm_accepted { repair_rounds } -> repair_rounds
             | Status.No_warm_start | Status.Dual_reopt
             | Status.Warm_fell_back -> 0));
+        ("dual_attempt_pivots", Obs.Trace.Int dual_attempt_pivots);
+        ("infeasible_by", Obs.Trace.Str (infeasible_by st outcome));
         ("ms", Obs.Trace.Float ms) ]
   end
 
@@ -1314,10 +1368,16 @@ let solve ?params ?warm_start ?(dual_reopt = true) model =
        or a numerical breakdown while iterating from it — falls back to
        the cold start, so supplying a warm basis can never produce a
        worse outcome class than not supplying one. The dual re-opt sits
-       one rung above the primal warm crash on the same ladder:
-       dual install/iterate failure falls to the primal warm path (a
+       one rung above the primal warm crash on the same ladder: it ends
+       the solve when it reaches optimality or a dual ray that verifies
+       as a Farkas certificate against the original data, and any other
+       exit (an unverified ray, a stall, the pivot budget, a failed
+       install or a numerical failure) falls to the primal warm path (a
        fresh state: the dual attempt froze artificial bounds, which
-       phase 1 must not inherit), which in turn falls to cold. *)
+       phase 1 must not inherit), which in turn falls to cold. The
+       pivots of an abandoned dual attempt are kept aside for the
+       telemetry. *)
+    let dual_attempt_pivots = ref 0 in
     let primal_warm wb () =
       match initialize ?params sf with
       | exception Numerical_failure -> (Status.Iteration_limit, None)
@@ -1348,17 +1408,23 @@ let solve ?params ?warm_start ?(dual_reopt = true) model =
               | false -> primal_warm wb ()
               | true -> (
                   st.warm <- Status.Dual_reopt;
+                  let fall_back () =
+                    dual_attempt_pivots := st.iterations;
+                    primal_warm wb ()
+                  in
                   match drive_dual st with
                   | Some outcome -> (outcome, Some st)
                   | None ->
                       Log.debug (fun m ->
                           m "dual re-opt gave up; primal warm fallback");
-                      primal_warm wb ()
-                  | exception Numerical_failure -> primal_warm wb ())
+                      fall_back ()
+                  | exception Numerical_failure -> fall_back ())
               | exception Numerical_failure -> primal_warm wb ()))
     in
     (match final_st with
-     | Some st -> record_solve ~ms:(Obs.Trace.now_ms () -. t0) st outcome
+     | Some st ->
+         record_solve ~ms:(Obs.Trace.now_ms () -. t0)
+           ~dual_attempt_pivots:!dual_attempt_pivots st outcome
      | None -> ());
     Obs.Span.end_ solve_sp;
     outcome

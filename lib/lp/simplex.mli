@@ -22,10 +22,12 @@
     re-solves, where only RHS/bounds changed), re-optimization runs dual
     pivots — most-infeasible leaving row under dual Devex row weights, a
     bounded-variable two-pass dual ratio test over the pivot row — and
-    never touches phase 1 or the repair ladder. Any dual difficulty
-    (a dual-infeasible install, persistent dual degeneracy, numerical
-    failure) falls back to the primal warm crash, which itself falls
-    back to a cold solve.
+    never touches phase 1 or the repair ladder. An infeasible re-solve
+    ends there too: the dual ray it stops on is accepted as the verdict
+    only once {!farkas_certifies} proves it against the original data.
+    Any other dual difficulty (a dual-infeasible install, a ray that does
+    not verify, persistent dual degeneracy, numerical failure) falls back
+    to the primal warm crash, which itself falls back to a cold solve.
 
     This solver is exact up to floating-point tolerances for any LP built
     with {!Model}; the test suite cross-checks it against the independent
@@ -45,6 +47,16 @@ type params = {
 
 val default_params : params
 
+val farkas_certifies : Standard_form.t -> float array -> bool
+(** [farkas_certifies sf y] holds when the row multipliers [y] prove
+    [A x = b, lb <= x <= ub] (the structural and logical columns of [sf])
+    infeasible: with [g_j = y . A_j], [y . b] lies outside the interval
+    that [sum_j g_j x_j] spans over the box, by more than
+    [1e-6 * (1 + sum |bound terms used| + sum |y_i b_i|)]. A nonzero
+    [g_j] whose bound on the needed side is infinite leaves that side
+    unbounded. It reads only [sf], so any [y] it accepts is a valid
+    certificate however it was computed. *)
+
 val solve :
   ?params:params ->
   ?warm_start:Status.Basis.t ->
@@ -60,7 +72,8 @@ val solve :
     this model's indices). With [dual_reopt] (the default), a basis that
     installs dual-feasibly re-optimizes with the dual simplex — zero
     phase-1 pivots, zero repair rounds, outcome
-    {!Status.Dual_reopt} — and otherwise the primal crash path runs: the
+    {!Status.Dual_reopt}, and [Infeasible] only on a dual ray that
+    {!farkas_certifies} — and otherwise the primal crash path runs: the
     carried basis is repaired before use (dependent columns demoted
     through {!Sparselin.Lu.crash_select}, uncovered rows regain their
     slack/artificial column, out-of-bound basic values parked at the

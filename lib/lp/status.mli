@@ -41,9 +41,10 @@ type warm_start_outcome =
   | No_warm_start  (** No basis was supplied; the solve started cold. *)
   | Dual_reopt
       (** The basis installed dual-feasibly and the solve re-optimized
-          with the dual simplex: zero phase-1 pivots, zero repair
-          rounds. The default path for slot-to-slot and post-strand
-          re-solves, where only RHS/bounds change. *)
+          with the dual simplex, or ended [Infeasible] on a dual ray that
+          verified as a Farkas certificate: zero phase-1 pivots, zero
+          repair rounds. The default path for slot-to-slot and
+          post-strand re-solves, where only RHS/bounds change. *)
   | Warm_accepted of { repair_rounds : int }
       (** The basis was installed by the primal crash after
           [repair_rounds] repair rounds beyond the first install

@@ -15,6 +15,9 @@ type solve_tally = {
   dual_reopts : int;
   warm_repaired : int;
   warm_fell_back : int;
+  dual_attempt_pivots : int;
+  infeasible_farkas : int;
+  infeasible_phase1 : int;
 }
 
 let empty_tally =
@@ -30,7 +33,10 @@ let empty_tally =
     warm_accepted = 0;
     dual_reopts = 0;
     warm_repaired = 0;
-    warm_fell_back = 0 }
+    warm_fell_back = 0;
+    dual_attempt_pivots = 0;
+    infeasible_farkas = 0;
+    infeasible_phase1 = 0 }
 
 let add_tally a b =
   { solves = a.solves + b.solves;
@@ -45,7 +51,10 @@ let add_tally a b =
     warm_accepted = a.warm_accepted + b.warm_accepted;
     dual_reopts = a.dual_reopts + b.dual_reopts;
     warm_repaired = a.warm_repaired + b.warm_repaired;
-    warm_fell_back = a.warm_fell_back + b.warm_fell_back }
+    warm_fell_back = a.warm_fell_back + b.warm_fell_back;
+    dual_attempt_pivots = a.dual_attempt_pivots + b.dual_attempt_pivots;
+    infeasible_farkas = a.infeasible_farkas + b.infeasible_farkas;
+    infeasible_phase1 = a.infeasible_phase1 + b.infeasible_phase1 }
 
 type slot_row = {
   slot : int;
@@ -109,6 +118,7 @@ let float0 ev name = Option.value ~default:0. (Reader.float_field ev name)
 let tally_of_solve ev =
   let warm = Option.value ~default:"" (Reader.str_field ev "warm") in
   let repairs = int0 ev "repair_rounds" in
+  let infeasible_by = Reader.str_field ev "infeasible_by" in
   { solves = 1;
     pivots = int0 ev "iterations";
     phase1_pivots = int0 ev "phase1_pivots";
@@ -126,7 +136,10 @@ let tally_of_solve ev =
        else 0);
     dual_reopts = (if warm = "dual_reopt" then 1 else 0);
     warm_repaired = (if warm = "accepted" && repairs > 0 then 1 else 0);
-    warm_fell_back = (if warm = "fell_back" then 1 else 0) }
+    warm_fell_back = (if warm = "fell_back" then 1 else 0);
+    dual_attempt_pivots = int0 ev "dual_attempt_pivots";
+    infeasible_farkas = (if infeasible_by = Some "farkas" then 1 else 0);
+    infeasible_phase1 = (if infeasible_by = Some "phase1" then 1 else 0) }
 
 (* The engine emits strictly nested spans from a single thread, so a pair
    of "currently open" cells replaces a full span stack. *)
@@ -355,6 +368,10 @@ let pp_run ppf run =
      %d repaired, %d fell back@,"
     t.warm_cold t.warm_accepted t.dual_reopts t.warm_repaired
     t.warm_fell_back;
+  Format.fprintf ppf
+    "  infeasible verdicts: %d by Farkas ray, %d by phase 1; %d pivots in \
+     abandoned dual attempts@,"
+    t.infeasible_farkas t.infeasible_phase1 t.dual_attempt_pivots;
   (match (run.total_files, run.rejected_files) with
    | Some total, Some rej ->
        Format.fprintf ppf "  files: %d offered, %d rejected@," total rej
@@ -419,7 +436,10 @@ let tally_to_json t =
       ("warm_accepted", Json.Int t.warm_accepted);
       ("dual_reopts", Json.Int t.dual_reopts);
       ("warm_repaired", Json.Int t.warm_repaired);
-      ("warm_fell_back", Json.Int t.warm_fell_back) ]
+      ("warm_fell_back", Json.Int t.warm_fell_back);
+      ("dual_attempt_pivots", Json.Int t.dual_attempt_pivots);
+      ("infeasible_farkas", Json.Int t.infeasible_farkas);
+      ("infeasible_phase1", Json.Int t.infeasible_phase1) ]
 
 let opt f = function None -> Json.Null | Some v -> f v
 

@@ -5,7 +5,8 @@
     ["sched.decision"] points nested inside them — and renders an ASCII
     report: the cost-vs-slot series, the per-slot pivot and wall-time
     breakdown, a solver section (phase-1/phase-2/dual pivot split,
-    re-optimization outcomes and repair rounds per run), and a
+    re-optimization outcomes and repair rounds, pivots of abandoned dual
+    attempts, and how each infeasible verdict was proved), and a
     reconciliation check of the per-slot series against the run's
     recorded final totals. *)
 
@@ -27,6 +28,11 @@ type solve_tally = {
           simplex. *)
   warm_repaired : int;  (** Warm basis installed after repair rounds. *)
   warm_fell_back : int;  (** Warm basis discarded, solved cold. *)
+  dual_attempt_pivots : int;
+      (** Pivots of dual re-opts abandoned for the primal ladder; not
+          part of [pivots]. *)
+  infeasible_farkas : int;  (** [Infeasible] verdicts proved by a dual ray. *)
+  infeasible_phase1 : int;  (** [Infeasible] verdicts proved by phase 1. *)
 }
 
 type slot_row = {

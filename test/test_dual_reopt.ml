@@ -2,9 +2,13 @@
    carried basis stays dual-feasible and the solver must reach the new
    optimum through the dual path — zero phase-1 pivots, zero repair
    rounds — while agreeing with a cold primal solve on the outcome class
-   and (to 1e-6) on the objective. The property tests replay randomized
-   online instances, including mid-run link outages; the engine test
-   drives a real post-strand re-plan through a trace sink. *)
+   and (to 1e-6) on the objective. An infeasible re-solve ends on a dual
+   ray, accepted only when the Farkas verifier proves it against the
+   original data; the verifier has its own hand-built cases. The property
+   tests replay randomized online instances, including mid-run link
+   outages, and tightened one-epoch programs checked against the dense
+   oracle; the engine test drives a real post-strand re-plan through a
+   trace sink. *)
 
 module Model = Lp.Model
 module Status = Lp.Status
@@ -126,13 +130,124 @@ let test_dual_reopt_flag_forces_primal () =
   Alcotest.(check int) "no dual pivots on the primal path" 0
     st.Status.dual_pivots
 
+(* The [lp.solve] trace points [f] emits, in order. *)
+let traced_solves f =
+  let lines = ref [] in
+  Trace.set_callback (fun line -> lines := line :: !lines);
+  let result = Fun.protect ~finally:Trace.close f in
+  let solves =
+    List.rev !lines
+    |> List.filter_map (fun line ->
+           match Reader.of_line line with
+           | Error msg -> Alcotest.failf "invalid trace line: %s" msg
+           | Ok ev ->
+               if ev.Reader.kind = Reader.Point && ev.Reader.name = "lp.solve"
+               then Some ev
+               else None)
+  in
+  (result, solves)
+
 let test_infeasible_after_perturbation () =
-  (* Tighten until the program is infeasible: the dual path must not
-     invent a verdict — the primal fallback certifies Infeasible. *)
+  (* Tighten until the program is infeasible: the dual simplex stops on a
+     ray, and the ray verified against the original data is the
+     certificate — no phase 1. *)
   let basis = carried_basis () in
   let impossible = model ~demand:50. ~x_ub:6. in
+  let outcome, solves =
+    traced_solves (fun () -> Lp.Simplex.solve ~warm_start:basis impossible)
+  in
   Alcotest.(check bool) "still infeasible from a carried basis" true
-    (Lp.Simplex.solve ~warm_start:basis impossible = Status.Infeasible)
+    (outcome = Status.Infeasible);
+  match solves with
+  | [ ev ] ->
+      Alcotest.(check (option string)) "verdict from the dual path"
+        (Some "dual_reopt") (Reader.str_field ev "warm");
+      Alcotest.(check (option int)) "zero phase-1 pivots" (Some 0)
+        (Reader.int_field ev "phase1_pivots");
+      Alcotest.(check (option string)) "proved by a Farkas ray"
+        (Some "farkas") (Reader.str_field ev "infeasible_by");
+      Alcotest.(check (option int)) "no abandoned dual attempt" (Some 0)
+        (Reader.int_field ev "dual_attempt_pivots")
+  | evs -> Alcotest.failf "expected one lp.solve point, got %d" (List.length evs)
+
+let test_unverified_ray_takes_primal_ladder () =
+  (* min x + z, x in [0, 1], z >= 0, 1000 x + 1e-6 z >= d. From the
+     d = 500 basis (x basic), d = 2000 pushes x past its bound; z's
+     pivot-row entry (1e-9) is under the pivot tolerance, so the dual
+     stops on a ray. The ray needs z's infinite upper bound, fails the
+     Farkas test, and the primal ladder finds the feasible z = 1e9. *)
+  let build d =
+    let m = Model.create Model.Minimize in
+    let x = Model.add_var m ~obj:1. ~ub:1. () in
+    let z = Model.add_var m ~obj:1. () in
+    ignore (Model.add_constraint m [ (x, 1000.); (z, 1e-6) ] Model.Ge d);
+    m
+  in
+  let basis = Option.get (get_opt (Lp.Simplex.solve (build 500.))).Status.basis in
+  let cold = get_opt (Lp.Simplex.solve (build 2000.)) in
+  let warm, solves =
+    traced_solves (fun () -> Lp.Simplex.solve ~warm_start:basis (build 2000.))
+  in
+  Alcotest.(check (float 1e-3))
+    "feasible, same objective as cold" cold.Status.objective
+    (get_opt warm).Status.objective;
+  match solves with
+  | [ ev ] ->
+      Alcotest.(check bool) "solved by the primal ladder" true
+        (match Reader.str_field ev "warm" with
+         | Some ("accepted" | "fell_back") -> true
+         | _ -> false);
+      Alcotest.(check (option string)) "no infeasibility proof" (Some "none")
+        (Reader.str_field ev "infeasible_by")
+  | evs -> Alcotest.failf "expected one lp.solve point, got %d" (List.length evs)
+
+(* ------------------------------------------------------------------ *)
+(* The Farkas verifier on hand-built rays. For [A x = b, lb <= x <= ub]
+   and row multipliers [y], [y.b] must fall outside the range of
+   [sum_j (y.A_j) x_j] over the box. *)
+
+let certifies m y = Lp.Simplex.farkas_certifies (Lp.Standard_form.of_model m) y
+
+(* x in [0, 1] and [x >= rhs]: standard form [x + s = rhs], s <= 0. *)
+let capped_demand rhs =
+  let m = Model.create Model.Minimize in
+  let x = Model.add_var m ~obj:1. ~ub:1. () in
+  ignore (Model.add_constraint m [ (x, 1.) ] Model.Ge rhs);
+  m
+
+let test_farkas_accepts_ray () =
+  (* y = 1: y.b = 2 but x + s <= 1 + 0 over the box. *)
+  Alcotest.(check bool) "y = [1] proves x <= 1, x >= 2 infeasible" true
+    (certifies (capped_demand 2.) [| 1. |]);
+  Alcotest.(check bool) "the negated ray proves it from below" true
+    (certifies (capped_demand 2.) [| -1. |])
+
+let test_farkas_rejects_feasible () =
+  Alcotest.(check bool) "no ray certifies a feasible program" false
+    (certifies (capped_demand 0.5) [| 1. |]);
+  Alcotest.(check bool) "the zero ray certifies nothing" false
+    (certifies (capped_demand 2.) [| 0. |])
+
+let test_farkas_rejects_within_tolerance () =
+  (* Violated by 1e-8, under 1e-6 * (1 + 1 + 1): not a certificate. *)
+  Alcotest.(check bool) "a violation inside the tolerance" false
+    (certifies (capped_demand (1. +. 1e-8)) [| 1. |]);
+  Alcotest.(check bool) "one just outside it" true
+    (certifies (capped_demand (1. +. 1e-5)) [| 1. |])
+
+let test_farkas_rejects_infinite_bound () =
+  (* x in [0, 1], z >= 0: row 0 is x >= 2 (infeasible on its own), row 1
+     is z >= 0. y = [1; 0] certifies; y = [1; 1] adds z's coefficient,
+     whose upper bound is infinite, so that side of the interval is
+     unbounded and the ray proves nothing. *)
+  let m = Model.create Model.Minimize in
+  let x = Model.add_var m ~obj:1. ~ub:1. () in
+  let z = Model.add_var m ~obj:1. () in
+  ignore (Model.add_constraint m [ (x, 1.) ] Model.Ge 2.);
+  ignore (Model.add_constraint m [ (z, 1.) ] Model.Ge 0.);
+  Alcotest.(check bool) "row 0 alone certifies" true (certifies m [| 1.; 0. |]);
+  Alcotest.(check bool) "a ray needing z's infinite bound is rejected" false
+    (certifies m [| 1.; 1. |])
 
 (* ------------------------------------------------------------------ *)
 (* Property: on randomized multi-slot online instances the dual-warm
@@ -200,6 +315,70 @@ let replay_instance ~seed ~nodes ~slots ~files_max ~outage =
   done;
   !ok
 
+(* ------------------------------------------------------------------ *)
+(* Property: a small one-epoch program is solved at full capacity, then
+   re-solved from that basis with every link's capacity scaled by
+   [factor] — small factors make it infeasible, large ones leave it
+   feasible (over the generator, about 4 in 10 instances stay feasible
+   and most of the rest end on a verified dual ray). The warm verdict
+   (dual re-opt, Farkas ray or primal ladder) must equal the cold one and
+   the dense oracle's. *)
+
+let verdict_instance ~seed ~nodes ~files ~factor =
+  let rng = Prelude.Rng.of_int (seed + 1) in
+  let base =
+    Netgraph.Topology.complete ~n:nodes ~rng ~cost_lo:1. ~cost_hi:10.
+      ~capacity:10.
+  in
+  let files =
+    List.init files (fun id ->
+        let src = Prelude.Rng.int rng nodes in
+        let dst = (src + 1 + Prelude.Rng.int rng (nodes - 1)) mod nodes in
+        File.make ~id ~src ~dst
+          ~size:(Prelude.Rng.float_range rng 1. 8.)
+          ~deadline:(1 + Prelude.Rng.int rng 2)
+          ~release:0)
+  in
+  let make scale =
+    Formulate.create ~base
+      ~charged:(Array.make (Graph.num_arcs base) 0.)
+      ~capacity:(fun ~link ~layer:_ ->
+        scale *. (Graph.arc base link).Graph.capacity)
+      ~files ~epoch:0 ()
+  in
+  let _, full = Formulate.solve_with_info (make 1.) in
+  let feasible = function
+    | Formulate.Scheduled _ -> Some true
+    | Formulate.Infeasible -> Some false
+    | Formulate.Solver_failure _ -> None
+  in
+  let cold = feasible (Formulate.solve (make factor)) in
+  let warm =
+    feasible
+      (fst (Formulate.solve_with_info ?warm_start:full.Formulate.basis
+              (make factor)))
+  in
+  let dense =
+    match Lp.Dense_simplex.solve (Formulate.model (make factor)) with
+    | Status.Optimal _ -> Some true
+    | Status.Infeasible -> Some false
+    | Status.Unbounded | Status.Iteration_limit -> None
+  in
+  cold <> None && warm = cold && dense = cold
+
+let prop_warm_verdict_equals_cold_and_dense =
+  QCheck2.Test.make
+    ~name:"tightened programs: warm verdict = cold verdict = dense verdict"
+    ~count:40
+    Gen.(
+      let* seed = int_range 0 9999 in
+      let* nodes = int_range 3 4 in
+      let* files = int_range 1 3 in
+      let* factor = oneofl [ 0.02; 0.1; 0.3; 0.6; 1. ] in
+      return (seed, nodes, files, factor))
+    (fun (seed, nodes, files, factor) ->
+      verdict_instance ~seed ~nodes ~files ~factor)
+
 let gen_instance =
   Gen.(
     let* seed = int_range 0 9999 in
@@ -244,30 +423,16 @@ let test_post_strand_replan_keeps_dual_basis () =
     Sim.Workload.scripted
       [ File.make ~id:0 ~src:0 ~dst:1 ~size:12. ~deadline:4 ~release:0 ]
   in
-  let outcome = ref None in
-  let lines = ref [] in
-  Trace.set_callback (fun line -> lines := line :: !lines);
-  Fun.protect ~finally:Trace.close (fun () ->
-      outcome :=
-        Some
-          (Sim.Engine.(
-             run
-               (make ~base:g
-                  ~scheduler:(Postcard.Postcard_scheduler.make ())
-                  ~workload ~slots:4 ~faults ()))));
-  let outcome = Option.get !outcome in
+  let outcome, solves =
+    traced_solves (fun () ->
+        Sim.Engine.(
+          run
+            (make ~base:g
+               ~scheduler:(Postcard.Postcard_scheduler.make ())
+               ~workload ~slots:4 ~faults ())))
+  in
   Alcotest.(check bool) "the outage stranded and re-planned a file" true
     (outcome.Sim.Engine.replanned_files >= 1);
-  let solves =
-    List.rev !lines
-    |> List.filter_map (fun line ->
-           match Reader.of_line line with
-           | Error msg -> Alcotest.failf "invalid trace line: %s" msg
-           | Ok ev ->
-               if ev.Reader.kind = Reader.Point && ev.Reader.name = "lp.solve"
-               then Some ev
-               else None)
-  in
   Alcotest.(check int) "two solves: admission, then the re-plan" 2
     (List.length solves);
   let replan = List.nth solves 1 in
@@ -312,9 +477,20 @@ let suite =
       test_dual_reopt_flag_forces_primal;
     Alcotest.test_case "infeasible verdict survives the dual path" `Quick
       test_infeasible_after_perturbation;
+    Alcotest.test_case "an unverified dual ray takes the primal ladder"
+      `Quick test_unverified_ray_takes_primal_ladder;
+    Alcotest.test_case "farkas: accepts a hand-built ray" `Quick
+      test_farkas_accepts_ray;
+    Alcotest.test_case "farkas: rejects rays on a feasible program" `Quick
+      test_farkas_rejects_feasible;
+    Alcotest.test_case "farkas: rejects a violation inside the tolerance"
+      `Quick test_farkas_rejects_within_tolerance;
+    Alcotest.test_case "farkas: rejects a ray needing an infinite bound"
+      `Quick test_farkas_rejects_infinite_bound;
     Alcotest.test_case "post-strand re-plan keeps a dual-feasible basis"
       `Quick test_post_strand_replan_keeps_dual_basis;
     Alcotest.test_case "bench reconcile detects tampering" `Quick
       test_bench_reconcile_detects_tampering;
     to_alcotest prop_dual_equals_cold;
-    to_alcotest prop_dual_equals_cold_under_outage ]
+    to_alcotest prop_dual_equals_cold_under_outage;
+    to_alcotest prop_warm_verdict_equals_cold_and_dense ]
