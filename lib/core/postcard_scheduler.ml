@@ -2,6 +2,22 @@ let log_src = Logs.Src.create "postcard.scheduler" ~doc:"Postcard scheduler"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* A solver failure (the pivot budget, a numerical breakdown) proves
+   nothing about feasibility, yet admission treats it like an infeasible
+   verdict and drops a file. Each one is counted and traced, so a run's
+   rejections never hide one. *)
+let m_solver_failures = Obs.Metrics.counter "postcard.solver_failures"
+
+let record_solver_failure ~epoch ~files msg =
+  Obs.Metrics.incr m_solver_failures;
+  if Obs.Trace.enabled () then
+    Obs.Trace.point "postcard.solver_failure"
+      [ ("epoch", Obs.Trace.Int epoch);
+        ("files", Obs.Trace.Int files);
+        ("message", Obs.Trace.Str msg) ];
+  Log.warn (fun m ->
+      m "epoch %d: solver failure (%s); treating as infeasible" epoch msg)
+
 let make ?params ?(tie_break = 1e-7) ?(warm_start = true) () =
   (* The previous epoch's optimal basis, re-keyed by stable structural
      keys. Consecutive epochs share most of their columns and rows (the
@@ -42,9 +58,8 @@ let make ?params ?(tie_break = 1e-7) ?(warm_start = true) () =
               Some (s, info.Formulate.basis)
           | Formulate.Infeasible, _ -> None
           | Formulate.Solver_failure msg, _ ->
-              Log.warn (fun m ->
-                  m "epoch %d: solver failure (%s); treating as infeasible"
-                    ctx.Scheduler.epoch msg);
+              record_solver_failure ~epoch:ctx.Scheduler.epoch
+                ~files:(List.length subset) msg;
               None
         end
       in

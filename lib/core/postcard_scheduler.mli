@@ -4,7 +4,12 @@
 
     When the instance is infeasible (deadlines cannot be met under the
     residual capacities), files are dropped highest-rate-first until the
-    rest fits; dropped files are reported as rejected. *)
+    rest fits; dropped files are reported as rejected. A solver failure
+    (pivot budget, numerical breakdown) takes the same drop-and-retry
+    path, but is never silent: each one increments the
+    [postcard.solver_failures] counter of {!Obs.Metrics} and, when
+    tracing, emits a [postcard.solver_failure] point (epoch, files in the
+    failed subset, message) that [trace-summary] counts. *)
 
 val make :
   ?params:Lp.Simplex.params ->

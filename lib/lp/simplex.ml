@@ -42,6 +42,16 @@ type state = {
   status : vstat array;
   basis : int array;  (* m: variable basic at each row position *)
   x : float array;  (* nall *)
+  (* Per-pivot scratch, reused so that a pivot allocates only its eta
+     update: the entering column [alpha] and [rho = B^-T e_r] (m each),
+     and the pivot row over the columns [rho] reaches (see [pivot_row]). *)
+  alpha : float array;
+  rho : float array;
+  a_rows : Csc.t Lazy.t;  (* row-major copy of A, built on first use *)
+  row : float array;  (* nall; zero outside the pattern *)
+  row_mark : bool array;  (* tot *)
+  row_pattern : int array;  (* nall *)
+  mutable row_len : int;
   mutable lu : Lu.t;
   (* Eta file in application (oldest-first) order: FTRAN walks it forward,
      BTRAN backward. A growable array keeps the hot loops allocation-free
@@ -74,10 +84,15 @@ let iter_column st j f =
   else f (j - st.tot) st.art_sign.(j - st.tot)
 
 (* Dot product of column [j] with a dense vector, avoiding closure
-   dispatch on the solver's hottest path. *)
+   dispatch. *)
 let dot_column st j v =
   if j < st.tot then Csc.dot_col st.sf.Standard_form.a j v
   else st.art_sign.(j - st.tot) *. v.(j - st.tot)
+
+(* Column [j] of the working matrix, added into the dense vector [v]. *)
+let scatter_column st j v =
+  if j < st.tot then Csc.scatter_col st.sf.Standard_form.a j v
+  else v.(j - st.tot) <- v.(j - st.tot) +. st.art_sign.(j - st.tot)
 
 (* Profiling probes on the solver kernels fire per call, so they use the
    raw begin/end pair (one atomic load each when [--spans] is off) rather
@@ -97,6 +112,47 @@ let btran st v =
   done;
   Lu.solve_transpose st.lu v;
   Obs.Span.end_ sp
+
+(* The entering column through the basis inverse, into [st.alpha]. *)
+let entering_column st j =
+  Array.fill st.alpha 0 st.m 0.;
+  scatter_column st j st.alpha;
+  ftran st st.alpha
+
+(* [rho = B^-T e_r], into [st.rho]. *)
+let btran_unit st r =
+  Array.fill st.rho 0 st.m 0.;
+  st.rho.(r) <- 1.;
+  btran st st.rho
+
+(* Pivot row [beta_j = rho . [A | art]_j], computed row-wise: only the
+   rows where [rho] is nonzero are read, through the row-major copy of A
+   (built the first time a pivot row is needed), so the cost follows the
+   entries reached rather than the column count. Each beta_j accumulates
+   over ascending rows like [dot_column], so the values are identical.
+   Leaves beta in [st.row] at the [st.row_len] columns listed ascending in
+   [st.row_pattern]; every other entry of [st.row] is zero. *)
+let pivot_row st =
+  for k = 0 to st.row_len - 1 do
+    st.row.(st.row_pattern.(k)) <- 0.
+  done;
+  let len =
+    ref
+      (Csc.row_combination (Lazy.force st.a_rows) st.rho ~into:st.row
+         ~mark:st.row_mark ~pattern:st.row_pattern)
+  in
+  (* Artificial column tot + i is art_sign.(i) * e_i; these indices all
+     follow the structural ones, so the pattern stays ascending. *)
+  for i = 0 to st.m - 1 do
+    let ri = st.rho.(i) in
+    if ri <> 0. then begin
+      let j = st.tot + i in
+      st.row.(j) <- st.art_sign.(i) *. ri;
+      st.row_pattern.(!len) <- j;
+      incr len
+    end
+  done;
+  st.row_len <- !len
 
 let push_eta st e =
   let cap = Array.length st.etas in
@@ -232,22 +288,22 @@ let price st =
    entering column q pivots at row r with tableau element alpha_r; for
    every nonbasic j, the pivot-row entry beta_j = (B^-T e_r) . A_j drives
    both the reference-weight update and the reduced-cost update
-   d_j -= (d_q / alpha_r) beta_j. Runs before the basis arrays change. *)
+   d_j -= (d_q / alpha_r) beta_j. A column the pivot row does not reach
+   has beta_j = 0 and keeps both. Runs before the basis arrays change. *)
 let pivot_update st ~enter ~r ~alpha_r =
   let gamma_q = st.devex.(enter) in
   let d_q = st.d.(enter) in
-  let rho = Array.make st.m 0. in
-  rho.(r) <- 1.;
-  btran st rho;
+  btran_unit st r;
+  pivot_row st;
   let step = d_q /. alpha_r in
-  let ratio2 b = (b /. alpha_r) *. (b /. alpha_r) in
   let too_big = ref false in
-  for j = 0 to st.nall - 1 do
+  for k = 0 to st.row_len - 1 do
+    let j = st.row_pattern.(k) in
     if st.status.(j) <> Basic && j <> enter then begin
-      let beta = dot_column st j rho in
+      let beta = st.row.(j) in
       if beta <> 0. then begin
         st.d.(j) <- st.d.(j) -. (step *. beta);
-        let candidate = ratio2 beta *. gamma_q in
+        let candidate = (beta /. alpha_r) *. (beta /. alpha_r) *. gamma_q in
         if candidate > st.devex.(j) then st.devex.(j) <- candidate;
         if st.devex.(j) > 1e8 then too_big := true
       end
@@ -451,9 +507,8 @@ let run_phase st =
            else raise Exit
        | Entering (enter, d) ->
            st.iterations <- st.iterations + 1;
-           let alpha = Array.make st.m 0. in
-           iter_column st enter (fun i v -> alpha.(i) <- alpha.(i) +. v);
-           ftran st alpha;
+           entering_column st enter;
+           let alpha = st.alpha in
            let dir =
              match st.status.(enter) with
              | At_lower -> 1.
@@ -517,7 +572,7 @@ let run_phase st =
    with Exit -> ());
   !result
 
-let initialize ?params:(p = default_params) sf =
+let initialize ?params:(p = default_params) ~a_rows sf =
   let m = sf.Standard_form.n_rows in
   let tot = Standard_form.total_vars sf in
   let nall = tot + m in
@@ -572,6 +627,13 @@ let initialize ?params:(p = default_params) sf =
     devex = Array.make nall 1.;
     d = Array.make nall 0.;
     status; basis; x;
+    alpha = Array.make m 0.;
+    rho = Array.make m 0.;
+    a_rows;
+    row = Array.make nall 0.;
+    row_mark = Array.make tot false;
+    row_pattern = Array.make nall 0;
+    row_len = 0;
     lu = lu0;
     etas = [||];
     n_etas = 0;
@@ -995,7 +1057,6 @@ let run_dual st =
   let piv_tol = st.p.pivot_tolerance in
   let dtol = st.p.dual_tolerance in
   let dw = Array.make st.m 1. in
-  let beta = Array.make st.nall 0. in
   let stall = ref 0 in
   let result = ref Dual_optimal in
   (try
@@ -1039,22 +1100,21 @@ let run_dual st =
           breaking any reduced-cost sign. *)
        let s = if above then 1. else -1. in
        (* Pivot row r of the tableau: rho = B^-T e_r, beta_j = rho . A_j —
-          the same quantity the primal [pivot_update] computes, kept here
-          because both the ratio test and the reduced-cost update need
-          it. *)
-       let rho = Array.make st.m 0. in
-       rho.(r) <- 1.;
-       btran st rho;
+          the same [pivot_row] the primal [pivot_update] computes, kept in
+          [st.row] because both the ratio test and the reduced-cost update
+          need it. A column it does not reach has beta_j = 0, which
+          neither pass admits and the update skips, so all three loops
+          run over its pattern only. *)
+       btran_unit st r;
+       let ratio_sp = Obs.Span.begin_ "lp.ratio_test" in
+       pivot_row st;
        (* Pass 1 (Harris-style): relaxed bound on the dual step, letting
           each reduced cost overshoot by the dual tolerance. *)
-       let ratio_sp = Obs.Span.begin_ "lp.ratio_test" in
        let theta_max = ref infinity in
-       for j = 0 to st.nall - 1 do
-         beta.(j) <- 0.;
+       for k = 0 to st.row_len - 1 do
+         let j = st.row_pattern.(k) in
          if st.status.(j) <> Basic && st.lb.(j) < st.ub.(j) then begin
-           let b = dot_column st j rho in
-           beta.(j) <- b;
-           let a = s *. b in
+           let a = s *. st.row.(j) in
            match st.status.(j) with
            | At_lower ->
                if a > piv_tol then begin
@@ -1076,15 +1136,17 @@ let run_dual st =
        done;
        if !theta_max = infinity then begin
          Obs.Span.end_ ratio_sp;
-         result := Dual_no_entering (Some rho);
+         result := Dual_no_entering (Some (Array.copy st.rho));
          raise Exit
        end;
        (* Pass 2: among columns whose exact ratio fits under the relaxed
-          step, the largest pivot magnitude wins (numerical stability). *)
+          step, the largest pivot magnitude wins (numerical stability);
+          the pattern is ascending, so ties go to the lowest column. *)
        let enter = ref (-1) and enter_abs = ref 0. in
-       for j = 0 to st.nall - 1 do
+       for k = 0 to st.row_len - 1 do
+         let j = st.row_pattern.(k) in
          if st.status.(j) <> Basic && st.lb.(j) < st.ub.(j) then begin
-           let a = s *. beta.(j) in
+           let a = s *. st.row.(j) in
            let ratio =
              match st.status.(j) with
              | At_lower ->
@@ -1116,9 +1178,8 @@ let run_dual st =
        st.dual_pivots <- st.dual_pivots + 1;
        (* Entering column through the basis inverse: needed for the eta
           update, the primal step and the row-weight update. *)
-       let alpha = Array.make st.m 0. in
-       iter_column st enter (fun i v -> alpha.(i) <- alpha.(i) +. v);
-       ftran st alpha;
+       entering_column st enter;
+       let alpha = st.alpha in
        let alpha_r = alpha.(r) in
        if abs_float alpha_r <= piv_tol then raise Numerical_failure;
        (* Reduced costs: the same rank-one update as a primal pivot,
@@ -1134,9 +1195,11 @@ let run_dual st =
          end
        end
        else stall := 0;
-       for j = 0 to st.nall - 1 do
-         if st.status.(j) <> Basic && j <> enter then begin
-           let b = beta.(j) in
+       for k = 0 to st.row_len - 1 do
+         let j = st.row_pattern.(k) in
+         if st.status.(j) <> Basic && st.lb.(j) < st.ub.(j) && j <> enter
+         then begin
+           let b = st.row.(j) in
            if b <> 0. then st.d.(j) <- st.d.(j) -. (step *. b)
          end
        done;
@@ -1351,12 +1414,15 @@ let solve ?params ?warm_start ?(dual_reopt = true) model =
     Status.Infeasible
   end
   else begin
+    (* Built at most once per solve, by the first pivot row any of the
+       states below needs. *)
+    let a_rows = lazy (Csc.transpose sf.Standard_form.a) in
     (* Every exit path remembers the state it solved with, so the
        per-solve telemetry reflects the run that produced the reported
        outcome (after a warm fallback: the cold rerun, flagged
        [Warm_fell_back]). *)
     let cold ~warm () =
-      match initialize ?params sf with
+      match initialize ?params ~a_rows sf with
       | exception Numerical_failure -> (Status.Iteration_limit, None)
       | st ->
           st.warm <- warm;
@@ -1379,7 +1445,7 @@ let solve ?params ?warm_start ?(dual_reopt = true) model =
        telemetry. *)
     let dual_attempt_pivots = ref 0 in
     let primal_warm wb () =
-      match initialize ?params sf with
+      match initialize ?params ~a_rows sf with
       | exception Numerical_failure -> (Status.Iteration_limit, None)
       | st -> (
           match try_warm_start st wb with
@@ -1401,7 +1467,7 @@ let solve ?params ?warm_start ?(dual_reopt = true) model =
       | None -> cold ~warm:Status.No_warm_start ()
       | Some wb when not dual_reopt -> primal_warm wb ()
       | Some wb -> (
-          match initialize ?params sf with
+          match initialize ?params ~a_rows sf with
           | exception Numerical_failure -> (Status.Iteration_limit, None)
           | st -> (
               match try_dual_reopt st wb with

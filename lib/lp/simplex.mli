@@ -15,7 +15,18 @@
       guarantee;
     - the ratio test is a two-pass test preferring large pivot elements
       among near-tied ratios, and supports bound flips of the entering
-      variable.
+      variable;
+    - the pivot row [beta = rho^T [A | artificials]], with
+      [rho = B^-T e_r], is computed row-wise: only the rows where [rho] is
+      nonzero are read, through a row-major copy of [A]
+      ({!Sparselin.Csc.transpose}) built the first time a solve needs a
+      pivot row. The dual ratio test and the primal reduced-cost/Devex
+      update then loop over the columns that row reaches, in ascending
+      order, instead of over every column. Each [beta_j] accumulates over
+      ascending rows like a column dot product, so the values, and with
+      them every pivot choice, are those of the column-wise computation.
+      The pivot loop reuses per-solve scratch vectors and allocates only
+      its eta updates.
 
     Warm starts additionally carry a dual simplex: when the supplied
     basis installs dual-feasibly (the common case for slot-to-slot

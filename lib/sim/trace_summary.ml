@@ -18,6 +18,7 @@ type solve_tally = {
   dual_attempt_pivots : int;
   infeasible_farkas : int;
   infeasible_phase1 : int;
+  solver_failures : int;
 }
 
 let empty_tally =
@@ -36,7 +37,8 @@ let empty_tally =
     warm_fell_back = 0;
     dual_attempt_pivots = 0;
     infeasible_farkas = 0;
-    infeasible_phase1 = 0 }
+    infeasible_phase1 = 0;
+    solver_failures = 0 }
 
 let add_tally a b =
   { solves = a.solves + b.solves;
@@ -54,7 +56,8 @@ let add_tally a b =
     warm_fell_back = a.warm_fell_back + b.warm_fell_back;
     dual_attempt_pivots = a.dual_attempt_pivots + b.dual_attempt_pivots;
     infeasible_farkas = a.infeasible_farkas + b.infeasible_farkas;
-    infeasible_phase1 = a.infeasible_phase1 + b.infeasible_phase1 }
+    infeasible_phase1 = a.infeasible_phase1 + b.infeasible_phase1;
+    solver_failures = a.solver_failures + b.solver_failures }
 
 type slot_row = {
   slot : int;
@@ -139,7 +142,8 @@ let tally_of_solve ev =
     warm_fell_back = (if warm = "fell_back" then 1 else 0);
     dual_attempt_pivots = int0 ev "dual_attempt_pivots";
     infeasible_farkas = (if infeasible_by = Some "farkas" then 1 else 0);
-    infeasible_phase1 = (if infeasible_by = Some "phase1" then 1 else 0) }
+    infeasible_phase1 = (if infeasible_by = Some "phase1" then 1 else 0);
+    solver_failures = 0 }
 
 (* The engine emits strictly nested spans from a single thread, so a pair
    of "currently open" cells replaces a full span stack. *)
@@ -216,6 +220,11 @@ let of_events events =
       | Reader.Point, "lp.solve" ->
           if !cur_slot <> None then
             cur_tally := add_tally !cur_tally (tally_of_solve ev)
+      | Reader.Point, "postcard.solver_failure" ->
+          if !cur_slot <> None then
+            cur_tally :=
+              { !cur_tally with
+                solver_failures = !cur_tally.solver_failures + 1 }
       | Reader.Point, "fault.reveal" -> if !cur_run <> None then incr reveals
       | Reader.Point, "fault.strand" -> if !cur_run <> None then incr strands
       | Reader.Point, "fault.lost" -> if !cur_run <> None then incr losses
@@ -372,6 +381,8 @@ let pp_run ppf run =
     "  infeasible verdicts: %d by Farkas ray, %d by phase 1; %d pivots in \
      abandoned dual attempts@,"
     t.infeasible_farkas t.infeasible_phase1 t.dual_attempt_pivots;
+  Format.fprintf ppf "  solver failures: %d (treated as infeasible)@,"
+    t.solver_failures;
   (match (run.total_files, run.rejected_files) with
    | Some total, Some rej ->
        Format.fprintf ppf "  files: %d offered, %d rejected@," total rej
@@ -439,7 +450,8 @@ let tally_to_json t =
       ("warm_fell_back", Json.Int t.warm_fell_back);
       ("dual_attempt_pivots", Json.Int t.dual_attempt_pivots);
       ("infeasible_farkas", Json.Int t.infeasible_farkas);
-      ("infeasible_phase1", Json.Int t.infeasible_phase1) ]
+      ("infeasible_phase1", Json.Int t.infeasible_phase1);
+      ("solver_failures", Json.Int t.solver_failures) ]
 
 let opt f = function None -> Json.Null | Some v -> f v
 

@@ -6,7 +6,8 @@
     report: the cost-vs-slot series, the per-slot pivot and wall-time
     breakdown, a solver section (phase-1/phase-2/dual pivot split,
     re-optimization outcomes and repair rounds, pivots of abandoned dual
-    attempts, and how each infeasible verdict was proved), and a
+    attempts, how each infeasible verdict was proved, and how many
+    solves failed and were treated as infeasible), and a
     reconciliation check of the per-slot series against the run's
     recorded final totals. *)
 
@@ -33,6 +34,9 @@ type solve_tally = {
           part of [pivots]. *)
   infeasible_farkas : int;  (** [Infeasible] verdicts proved by a dual ray. *)
   infeasible_phase1 : int;  (** [Infeasible] verdicts proved by phase 1. *)
+  solver_failures : int;
+      (** ["postcard.solver_failure"] points: solves that failed (pivot
+          budget, numerical breakdown) and were treated as infeasible. *)
 }
 
 type slot_row = {

@@ -127,6 +127,76 @@ let scatter_col m j v =
     Array.unsafe_set v r (Array.unsafe_get v r +. m.values.(k))
   done
 
+let transpose m =
+  (* Counting sort of the entries by row. Columns are visited in
+     ascending order, so each transposed column comes out sorted. *)
+  let nz = nnz m in
+  let colptr = Array.make (m.nrows + 1) 0 in
+  for k = 0 to nz - 1 do
+    let r = m.rowind.(k) in
+    colptr.(r + 1) <- colptr.(r + 1) + 1
+  done;
+  for i = 1 to m.nrows do
+    colptr.(i) <- colptr.(i) + colptr.(i - 1)
+  done;
+  let next = Array.sub colptr 0 m.nrows in
+  let rowind = Array.make nz 0 and values = Array.make nz 0. in
+  for j = 0 to m.ncols - 1 do
+    for k = m.colptr.(j) to m.colptr.(j + 1) - 1 do
+      let r = m.rowind.(k) in
+      let p = next.(r) in
+      rowind.(p) <- j;
+      values.(p) <- m.values.(k);
+      next.(r) <- p + 1
+    done
+  done;
+  { nrows = m.ncols; ncols = m.nrows; colptr; rowind; values }
+
+(* Insertion sort of [a.(0 .. len - 1)]; the patterns it sees are short. *)
+let sort_prefix a len =
+  for i = 1 to len - 1 do
+    let v = a.(i) in
+    let k = ref (i - 1) in
+    while !k >= 0 && a.(!k) > v do
+      a.(!k + 1) <- a.(!k);
+      decr k
+    done;
+    a.(!k + 1) <- v
+  done
+
+let row_combination at v ~into ~mark ~pattern =
+  let len = ref 0 in
+  for i = 0 to at.ncols - 1 do
+    let vi = v.(i) in
+    if vi <> 0. then
+      for p = at.colptr.(i) to at.colptr.(i + 1) - 1 do
+        let j = at.rowind.(p) in
+        if not mark.(j) then begin
+          mark.(j) <- true;
+          pattern.(!len) <- j;
+          incr len
+        end;
+        into.(j) <- into.(j) +. (at.values.(p) *. vi)
+      done
+  done;
+  let len = !len in
+  (* Sort the pattern: by insertion while that is cheaper than a sweep of
+     the marks, by the sweep otherwise. *)
+  if len * len <= 4 * at.nrows then sort_prefix pattern len
+  else begin
+    let k = ref 0 in
+    for j = 0 to at.nrows - 1 do
+      if mark.(j) then begin
+        pattern.(!k) <- j;
+        incr k
+      end
+    done
+  end;
+  for k = 0 to len - 1 do
+    mark.(pattern.(k)) <- false
+  done;
+  len
+
 let column m j =
   if j < 0 || j >= m.ncols then invalid_arg "Csc.column: col out of range";
   Array.init (col_nnz m j) (fun k ->

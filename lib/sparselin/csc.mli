@@ -38,6 +38,32 @@ val dot_col : t -> int -> float array -> float
 val scatter_col : t -> int -> float array -> unit
 (** [scatter_col m j v] adds column [j] into the dense vector [v]. *)
 
+val transpose : t -> t
+(** [transpose m] is [m]'s transpose, built by one linear counting pass
+    over the entries. Rows come out ascending in every column. Applied to
+    a constraint matrix it is the row-major copy {!row_combination}
+    reads. *)
+
+val row_combination :
+  t ->
+  float array ->
+  into:float array ->
+  mark:bool array ->
+  pattern:int array ->
+  int
+(** [row_combination at v ~into ~mark ~pattern], with [at = transpose m],
+    adds [transpose m * v] into [into], touching only the columns of [m]
+    that [v]'s nonzeros reach. It walks [v]'s nonzero entries [i] in
+    ascending order and adds [m_ij * v_i] to [into.(j)] for each
+    nonzero [m_ij]. So when [into] starts at zero, every [into.(j)]
+    equals {!dot_col}[ m j v] exactly, the signs of zeros aside, at a
+    cost set by the reached entries rather than by [nnz m].
+
+    The reached columns are written to [pattern] in ascending order and
+    their count is returned. [mark] must have length [ncols m] and be all
+    [false] on entry; it is all [false] again on return. [into] and
+    [pattern] need [ncols m] entries. Allocates nothing. *)
+
 val col_nnz : t -> int -> int
 
 val get : t -> int -> int -> float

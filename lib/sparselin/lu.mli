@@ -8,7 +8,15 @@
     with the fewest input-matrix nonzeros — a static fill-in proxy — wins,
     with deterministic tie-breaks), [Q] is a caller supplied (or
     nnz-ascending) column ordering, [L] is unit lower triangular and [U] is
-    upper triangular. *)
+    upper triangular.
+
+    [L] and [U] are stored column-compressed in flat [int]/[float] arrays,
+    one column per elimination step, and the pattern search of the
+    elimination uses an [int]-array stack. {!solve} and
+    {!solve_transpose} run over these arrays with a work vector owned by
+    the factorization, so they allocate nothing. That work vector makes
+    one [t] unsafe to solve with from two domains at once: give each
+    domain its own factorization. *)
 
 type t
 
@@ -22,7 +30,8 @@ val factorize :
 (** [factorize ~dim col] factorizes the [dim] x [dim] matrix whose [j]-th
     column is [col j], given as (row, value) pairs with distinct rows.
     [col_order], when given, is the permutation [Q] (its [k]-th entry is the
-    original column eliminated at step [k]); otherwise columns are ordered by
+    original column eliminated at step [k]; [Invalid_argument] when it is
+    not a permutation of [0 .. dim - 1]); otherwise columns are ordered by
     increasing nonzero count, a cheap fill-reducing heuristic that suits
     near-triangular simplex bases. *)
 
@@ -67,11 +76,13 @@ val fill_in : t -> int
 
 val solve : t -> float array -> unit
 (** [solve f b] overwrites [b] with the solution [x] of [B x = b]
-    (the simplex FTRAN). *)
+    (the simplex FTRAN). Allocates nothing; uses [f]'s work vector (see
+    the note on domains above). *)
 
 val solve_transpose : t -> float array -> unit
 (** [solve_transpose f c] overwrites [c] with the solution [y] of
-    [transpose B y = c] (the simplex BTRAN). *)
+    [transpose B y = c] (the simplex BTRAN). Allocates nothing; uses
+    [f]'s work vector. *)
 
 val min_abs_diag : t -> float
 (** Smallest pivot magnitude; a stability diagnostic. *)

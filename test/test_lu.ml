@@ -136,6 +136,175 @@ let test_explicit_col_order () =
       Alcotest.(check (float 1e-10)) "row 0" 4. ax.(0);
       Alcotest.(check (float 1e-10)) "row 1" 7. ax.(1)
 
+(* ------------------------------------------------------------------ *)
+(* Properties over random sparse nonsingular matrices: a diagonally
+   dominant matrix with its rows shuffled, so the factorization has real
+   row pivoting to do. Half the cases pass an explicit random column
+   order. *)
+
+module Gen = QCheck2.Gen
+
+let shuffled_nonsingular rng n =
+  let d = random_nonsingular rng n in
+  let perm = Array.init n (fun i -> i) in
+  for i = n - 1 downto 1 do
+    let k = Prelude.Rng.int rng (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(k);
+    perm.(k) <- t
+  done;
+  Array.map (fun i -> d.(i)) perm
+
+let random_permutation rng n =
+  let p = Array.init n (fun i -> i) in
+  for i = n - 1 downto 1 do
+    let k = Prelude.Rng.int rng (i + 1) in
+    let t = p.(i) in
+    p.(i) <- p.(k);
+    p.(k) <- t
+  done;
+  p
+
+let gen_case =
+  Gen.(triple (int_range 1 60) (int_bound 1_000_000) bool)
+
+let print_case (n, seed, ordered) =
+  Printf.sprintf "n=%d seed=%d col_order=%b" n seed ordered
+
+let factorize_case (n, seed, ordered) =
+  let rng = Prelude.Rng.of_int seed in
+  let d = shuffled_nonsingular rng n in
+  let col_order = if ordered then Some (random_permutation rng n) else None in
+  match Lu.factorize ?col_order ~dim:n (cols_of_dense d) with
+  | Ok f -> (rng, d, f)
+  | Error (Lu.Singular k) ->
+      QCheck2.Test.fail_reportf "singular at step %d" k
+
+let max_residual d x b =
+  let r = Dense.matvec d x in
+  let worst = ref 0. in
+  Array.iteri (fun i v -> worst := max !worst (abs_float (v -. b.(i)))) r;
+  !worst
+
+let prop_solve_residuals =
+  QCheck2.Test.make ~name:"solve and solve_transpose residuals <= 1e-9"
+    ~count:200 ~print:print_case gen_case (fun case ->
+      let rng, d, f = factorize_case case in
+      let n = Array.length d in
+      let b = Array.init n (fun _ -> Prelude.Rng.float_range rng (-10.) 10.) in
+      let x = Array.copy b in
+      Lu.solve f x;
+      let c = Array.init n (fun _ -> Prelude.Rng.float_range rng (-10.) 10.) in
+      let y = Array.copy c in
+      Lu.solve_transpose f y;
+      max_residual d x b <= 1e-9
+      && max_residual (Dense.transpose d) y c <= 1e-9)
+
+let dot a b =
+  let acc = ref 0. in
+  Array.iteri (fun i v -> acc := !acc +. (v *. b.(i))) a;
+  !acc
+
+let prop_adjoint_identity =
+  QCheck2.Test.make ~name:"adjoint identity (B^-1 u).v = u.(B^-T v)"
+    ~count:200 ~print:print_case gen_case (fun case ->
+      let rng, d, f = factorize_case case in
+      let n = Array.length d in
+      let u = Array.init n (fun _ -> Prelude.Rng.float_range rng (-1.) 1.) in
+      let v = Array.init n (fun _ -> Prelude.Rng.float_range rng (-1.) 1.) in
+      let bu = Array.copy u in
+      Lu.solve f bu;
+      let btv = Array.copy v in
+      Lu.solve_transpose f btv;
+      let lhs = dot bu v and rhs = dot u btv in
+      abs_float (lhs -. rhs) <= 1e-9 *. (1. +. abs_float lhs))
+
+(* Candidates mixing independent columns with exact copies and sums of
+   earlier ones: the accepted set must be independent, and together with
+   the unit columns of the unpivoted rows it must form a nonsingular
+   basis. *)
+let prop_crash_select_covers =
+  QCheck2.Test.make ~name:"crash_select: independent set plus unpivoted rows"
+    ~count:200 ~print:print_case gen_case (fun (n, seed, _) ->
+      let rng = Prelude.Rng.of_int seed in
+      let d = shuffled_nonsingular rng n in
+      let col j = Array.init n (fun i -> d.(i).(j)) in
+      let ncols = Prelude.Rng.int rng (2 * n) + 1 in
+      let cands =
+        Array.init ncols (fun _ ->
+            let a = col (Prelude.Rng.int rng n) in
+            match Prelude.Rng.int rng 3 with
+            | 0 -> a
+            | 1 ->
+                let b = col (Prelude.Rng.int rng n) in
+                Array.mapi (fun i v -> v +. b.(i)) a
+            | _ -> Array.map (fun v -> -2. *. v) a)
+      in
+      let sparse c =
+        let acc = ref [] in
+        for i = n - 1 downto 0 do
+          if c.(i) <> 0. then acc := (i, c.(i)) :: !acc
+        done;
+        Array.of_list !acc
+      in
+      let cand_cols = Array.map sparse cands in
+      let accepted, unpivoted =
+        Lu.crash_select ~dim:n ~ncols (fun k f ->
+            Array.iter (fun (r, v) -> f r v) cand_cols.(k))
+      in
+      let basis =
+        Array.append
+          (Array.map (fun k -> cand_cols.(k)) accepted)
+          (Array.map (fun r -> [| (r, 1.) |]) unpivoted)
+      in
+      let ascending a =
+        let ok = ref true in
+        Array.iteri (fun i v -> if i > 0 && a.(i - 1) >= v then ok := false) a;
+        !ok
+      in
+      Array.length basis = n
+      && ascending accepted && ascending unpivoted
+      && (match Lu.factorize ~dim:n (fun j -> basis.(j)) with
+          | Ok f -> Lu.min_abs_diag f > 1e-12
+          | Error _ -> false))
+
+(* The triangular solves and the eta updates run once per simplex pivot:
+   they must not allocate. The bound leaves room only for the probe's own
+   boxed floats. *)
+let test_kernels_allocate_nothing () =
+  let rng = Prelude.Rng.of_int 50 in
+  let n = 50 in
+  let d = shuffled_nonsingular rng n in
+  let f =
+    match Lu.factorize ~dim:n (cols_of_dense d) with
+    | Ok f -> f
+    | Error _ -> Alcotest.fail "unexpected singular"
+  in
+  let alpha = Array.init n (fun i -> if i mod 3 = 0 then 0. else 1. +. float_of_int i) in
+  let eta = Sparselin.Eta.make ~pos:4 ~alpha in
+  let v = Array.init n (fun i -> float_of_int (i mod 7) -. 3.) in
+  let measure name kernel =
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      kernel v
+    done;
+    let words = Gc.minor_words () -. before in
+    if words > 16. then
+      Alcotest.failf "%s allocated %.0f minor words over 1000 calls" name words
+  in
+  measure "Lu.solve" (Lu.solve f);
+  measure "Lu.solve_transpose" (Lu.solve_transpose f);
+  measure "Eta.apply_ftran" (Sparselin.Eta.apply_ftran eta);
+  measure "Eta.apply_btran" (Sparselin.Eta.apply_btran eta)
+
+let test_col_order_must_be_permutation () =
+  Alcotest.check_raises "repeated column"
+    (Invalid_argument "Lu.factorize: col_order is not a permutation")
+    (fun () ->
+      ignore
+        (Lu.factorize ~col_order:[| 0; 0 |] ~dim:2
+           (cols_of_dense [| [| 2.; 1. |]; [| 1.; 3. |] |])))
+
 let suite =
   [ Alcotest.test_case "identity" `Quick test_identity;
     Alcotest.test_case "permutation" `Quick test_permutation;
@@ -146,4 +315,11 @@ let suite =
     Alcotest.test_case "near-triangular sparse" `Quick test_near_triangular_sparse;
     Alcotest.test_case "min abs diag" `Quick test_min_abs_diag;
     Alcotest.test_case "random sparse solves" `Quick test_random_sparse_solves;
-    Alcotest.test_case "explicit column order" `Quick test_explicit_col_order ]
+    Alcotest.test_case "explicit column order" `Quick test_explicit_col_order;
+    Alcotest.test_case "column order must be a permutation" `Quick
+      test_col_order_must_be_permutation;
+    Alcotest.test_case "solves and eta updates allocate nothing" `Quick
+      test_kernels_allocate_nothing;
+    QCheck_alcotest.to_alcotest prop_solve_residuals;
+    QCheck_alcotest.to_alcotest prop_adjoint_identity;
+    QCheck_alcotest.to_alcotest prop_crash_select_covers ]

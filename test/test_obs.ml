@@ -185,7 +185,7 @@ let feasible_spec ~nodes =
     size_max = 10.;
     deadlines = Sim.Workload.Uniform_deadline (2, 3) }
 
-let traced_run ~seed =
+let traced_run ?params ~seed () =
   let rng = Prelude.Rng.of_int 3 in
   let base =
     Netgraph.Topology.complete ~n:4 ~rng ~cost_lo:1. ~cost_hi:10. ~capacity:12.
@@ -193,7 +193,7 @@ let traced_run ~seed =
   let workload =
     Sim.Workload.create (feasible_spec ~nodes:4) (Prelude.Rng.of_int seed)
   in
-  let scheduler = Postcard.Postcard_scheduler.make () in
+  let scheduler = Postcard.Postcard_scheduler.make ?params () in
   let outcome = ref None in
   let lines =
     collect_lines (fun () ->
@@ -216,14 +216,14 @@ let normalize line =
   | Ok _ -> Alcotest.failf "trace line is not an object: %s" line
 
 let test_trace_deterministic () =
-  let _, lines1 = traced_run ~seed:11 in
-  let _, lines2 = traced_run ~seed:11 in
+  let _, lines1 = traced_run ~seed:11 () in
+  let _, lines2 = traced_run ~seed:11 () in
   Alcotest.(check (list string))
     "same seed, same event sequence (timestamps aside)"
     (List.map normalize lines1) (List.map normalize lines2)
 
 let test_trace_reconciles_with_report () =
-  let outcome, lines = traced_run ~seed:11 in
+  let outcome, lines = traced_run ~seed:11 () in
   let events =
     List.map
       (fun line ->
@@ -258,6 +258,44 @@ let test_trace_reconciles_with_report () =
           0 run.Sim.Trace_summary.rows
       in
       Alcotest.(check bool) "lp solves attributed to slots" true (tally > 0)
+  | runs -> Alcotest.failf "expected 1 run, got %d" (List.length runs)
+
+(* A solver failure takes the infeasible path (its file is dropped and
+   admission retries) but is counted: the metrics counter and the
+   trace-summary tally both see every one. A one-pivot budget makes every
+   nonempty solve fail, so every file ends up dropped. *)
+let test_solver_failures_counted () =
+  let params = { Lp.Simplex.default_params with max_iterations = 1 } in
+  let counter = Metrics.counter "postcard.solver_failures" in
+  let before = Metrics.counter_value counter in
+  Metrics.set_enabled true;
+  let outcome, lines =
+    Fun.protect
+      ~finally:(fun () -> Metrics.set_enabled false)
+      (fun () -> traced_run ~params ~seed:11 ())
+  in
+  let failures = Metrics.counter_value counter - before in
+  Alcotest.(check bool) "failures counted" true (failures > 0);
+  Alcotest.(check int) "every file dropped" outcome.Sim.Engine.total_files
+    outcome.Sim.Engine.rejected_files;
+  let events =
+    List.map
+      (fun line ->
+        match Reader.of_line line with
+        | Ok ev -> ev
+        | Error msg -> Alcotest.failf "invalid line: %s" msg)
+      lines
+  in
+  match Sim.Trace_summary.of_events events with
+  | [ run ] ->
+      let traced =
+        List.fold_left
+          (fun acc (r : Sim.Trace_summary.slot_row) ->
+            acc + r.Sim.Trace_summary.lp.Sim.Trace_summary.solver_failures)
+          0 run.Sim.Trace_summary.rows
+      in
+      Alcotest.(check int) "trace-summary tallies every failure" failures
+        traced
   | runs -> Alcotest.failf "expected 1 run, got %d" (List.length runs)
 
 (* ------------------------------------------------------------------ *)
@@ -322,5 +360,7 @@ let suite =
       test_trace_deterministic;
     Alcotest.test_case "trace: slot series reconciles with the report" `Quick
       test_trace_reconciles_with_report;
+    Alcotest.test_case "trace: solver failures counted, files dropped" `Quick
+      test_solver_failures_counted;
     Alcotest.test_case "stats: solver telemetry threaded through" `Quick
       test_simplex_stats ]
