@@ -6,6 +6,7 @@ type t = {
   model : Model.t;
   program : Texp_lp.t;
   x_vars : Model.var array;
+  keymap : Basis_map.keymap;  (* frozen once the program is complete *)
 }
 
 let create ~base ~charged ~capacity ~files ~epoch ?(tie_break = 1e-4) () =
@@ -22,7 +23,8 @@ let create ~base ~charged ~capacity ~files ~epoch ?(tie_break = 1e-4) () =
         Texp_lp.add_charge_coupling ~model program ~charged
           ~x_obj:(fun ~cost -> cost)
       in
-      { base; model; program; x_vars })
+      { base; model; program; x_vars;
+        keymap = Texp_lp.keymap program ~model })
 
 let model t = t.model
 
@@ -43,7 +45,7 @@ type solve_info = {
   basis : Basis_map.t option;
 }
 
-let keymap t = Texp_lp.keymap t.program ~model:t.model
+let keymap t = t.keymap
 
 let solve_with_info ?params ?warm_start ?dual_reopt t =
   let warm_start =

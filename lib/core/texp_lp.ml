@@ -8,8 +8,17 @@ type t = {
   epoch : int;
   horizon : int;
   texp : Texp.t;
-  (* m_vars.(fi): expanded arc id -> variable, for arcs usable by file fi. *)
-  m_vars : (int, Model.var) Hashtbl.t array;
+  (* File [fi]'s variables are the consecutive columns [first_var.(fi) + k],
+     one per expanded arc [file_arcs.(fi).(k)] it may use, arcs
+     ascending. *)
+  first_var : int array;
+  file_arcs : int array array;
+  (* The transmission variables of every (layer, link), ascending: those of
+     slot [s = layer * num_links + link] are
+     [tx_vars.(tx_start.(s) .. tx_start.(s + 1) - 1)]. They make the
+     capacity and dominance rows. *)
+  tx_start : int array;
+  tx_vars : int array;
   (* Stable structural keys of every column/row this formulation created,
      for translating simplex bases across epochs. *)
   registry : Basis_map.Registry.t;
@@ -18,9 +27,9 @@ type t = {
 let texp t = t.texp
 let horizon t = t.horizon
 
-(* Hop distances from [src] used to prune variables the file can never
-   use. *)
-let hop_distances g ~src =
+(* Breadth-first hop distances from [src], following arcs forward or, with
+   [~backward:true], backward (distances {e to} [src]). *)
+let hop_distances ?(backward = false) g ~src =
   let n = Graph.num_nodes g in
   let dist = Array.make n max_int in
   let queue = Queue.create () in
@@ -28,20 +37,30 @@ let hop_distances g ~src =
   Queue.push src queue;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    List.iter
-      (fun id ->
-        let a = Graph.arc g id in
-        if dist.(a.Graph.dst) = max_int then begin
-          dist.(a.Graph.dst) <- dist.(u) + 1;
-          Queue.push a.Graph.dst queue
-        end)
-      (Graph.out_arcs g u)
+    let visit id =
+      let a = Graph.arc g id in
+      let v = if backward then a.Graph.src else a.Graph.dst in
+      if dist.(v) = max_int then begin
+        dist.(v) <- dist.(u) + 1;
+        Queue.push v queue
+      end
+    in
+    if backward then Graph.iter_in_arcs g u visit
+    else Graph.iter_out_arcs g u visit
   done;
   dist
 
 let deliverable ~base f =
   let dist = hop_distances base ~src:f.File.src in
   dist.(f.File.dst) <= f.File.deadline
+
+(* Hop distances by endpoint, each computed the first time a file asks. *)
+let distance_cache g ~backward =
+  let cache = Array.make (Graph.num_nodes g) [||] in
+  fun node ->
+    if Array.length cache.(node) = 0 then
+      cache.(node) <- hop_distances ~backward g ~src:node;
+    cache.(node)
 
 let build ~model ~base ~capacity ~files ~epoch ~flow_obj ~supply =
   List.iter
@@ -57,6 +76,7 @@ let build ~model ~base ~capacity ~files ~epoch ~flow_obj ~supply =
        if Array.length v <> List.length files then
          invalid_arg "Texp_lp.build: elastic supply size mismatch");
   let files = Array.of_list files in
+  let n_files = Array.length files in
   (* Each file's transmission window in epoch-relative layers. *)
   let window_lo f = f.File.release - epoch in
   let window_hi f = window_lo f + f.File.deadline in
@@ -64,10 +84,12 @@ let build ~model ~base ~capacity ~files ~epoch ~flow_obj ~supply =
     Array.fold_left (fun acc f -> max acc (window_hi f)) 1 files
   in
   let texp = Texp.build ~base ~horizon ~capacity in
-  let n_base = Graph.num_nodes base in
-  let from_src = Array.map (fun f -> hop_distances base ~src:f.File.src) files in
-  let rev = Graph.reverse base in
-  let to_dst = Array.map (fun f -> hop_distances rev ~src:f.File.dst) files in
+  let graph = Texp.graph texp in
+  let n_base = Graph.num_nodes base and n_links = Graph.num_arcs base in
+  let from_node = distance_cache base ~backward:false in
+  let to_node = distance_cache base ~backward:true in
+  let from_src = Array.map (fun f -> from_node f.File.src) files in
+  let to_dst = Array.map (fun f -> to_node f.File.dst) files in
   let node_usable fi node layer =
     let f = files.(fi) in
     let lo = window_lo f and hi = window_hi f in
@@ -75,108 +97,189 @@ let build ~model ~base ~capacity ~files ~epoch ~flow_obj ~supply =
     && from_src.(fi).(node) <= layer - lo
     && to_dst.(fi).(node) <= hi - layer
   in
-  let m_vars = Array.map (fun _ -> Hashtbl.create 256) files in
-  let registry = Basis_map.Registry.create () in
+  let link_src = Array.init n_links (fun l -> (Graph.arc base l).Graph.src) in
+  let link_dst = Array.init n_links (fun l -> (Graph.arc base l).Graph.dst) in
+  (* Each file's usable arcs in ascending id order: within a layer the
+     expansion numbers the transmission arcs by link, then the storage
+     arcs by node. Arcs with no usable capacity would only add degenerate
+     zero-forced columns. *)
+  let arcs_buf = Array.make (Graph.num_arcs graph) 0 in
+  let file_arcs =
+    Array.mapi
+      (fun fi f ->
+        let lo = window_lo f and hi = window_hi f in
+        let from_src = from_src.(fi) and to_dst = to_dst.(fi) in
+        (* [node_usable] for a layer already known to be in the window. *)
+        let reachable node layer =
+          from_src.(node) <= layer - lo && to_dst.(node) <= hi - layer
+        in
+        let len = ref 0 in
+        let consider arc =
+          if (Graph.arc graph arc).Graph.capacity > 1e-9 then begin
+            arcs_buf.(!len) <- arc;
+            incr len
+          end
+        in
+        for layer = lo to hi - 1 do
+          for link = 0 to n_links - 1 do
+            if reachable link_src.(link) layer
+               && reachable link_dst.(link) (layer + 1)
+            then consider (Texp.transmission_arc texp ~link ~layer)
+          done;
+          for node = 0 to n_base - 1 do
+            if reachable node layer && reachable node (layer + 1) then
+              consider (Texp.storage_arc texp ~node ~layer)
+          done
+        done;
+        Array.sub arcs_buf 0 !len)
+      files
+  in
+  (* Group the transmission variables by (layer, link) in one counting
+     pass; visiting files and their arcs in order keeps each group
+     ascending. *)
+  let n_slots = horizon * n_links in
+  let slot_of_arc arc =
+    match Texp.kind texp arc with
+    | Texp.Transmission { link; layer } -> (layer * n_links) + link
+    | Texp.Storage _ -> -1
+  in
+  let tx_start = Array.make (n_slots + 1) 0 in
+  Array.iter
+    (Array.iter (fun arc ->
+         let s = slot_of_arc arc in
+         if s >= 0 then tx_start.(s + 1) <- tx_start.(s + 1) + 1))
+    file_arcs;
+  let used_slots = ref 0 in
+  for s = 1 to n_slots do
+    if tx_start.(s) > 0 then incr used_slots;
+    tx_start.(s) <- tx_start.(s) + tx_start.(s - 1)
+  done;
+  let n_tx = tx_start.(n_slots) in
+  (* Room for everything below and for the charge columns and dominance
+     rows {!add_charge_coupling} may add: the conservation rows at most
+     one per usable node copy, each variable in at most two of them. *)
+  let node_copies = ref 0 in
   Array.iteri
     (fun fi f ->
-      let lo = window_lo f and hi = window_hi f in
-      Texp.iter_arcs texp (fun a kind ->
-          let layer, obj =
-            match kind with
-            | Texp.Transmission { layer; _ } -> (layer, flow_obj ~cost:a.Graph.cost)
-            | Texp.Storage { layer; _ } -> (layer, 0.)
-          in
-          (* Arcs with no usable capacity would only add degenerate
-             zero-forced columns. *)
-          if layer >= lo && layer < hi && a.Graph.capacity > 1e-9 then begin
-            let src_node, src_layer = Texp.node_of texp a.Graph.src in
-            let dst_node, dst_layer = Texp.node_of texp a.Graph.dst in
-            if node_usable fi src_node src_layer
-               && node_usable fi dst_node dst_layer
-            then begin
+      for layer = window_lo f to window_hi f do
+        for node = 0 to n_base - 1 do
+          if node_usable fi node layer then incr node_copies
+        done
+      done)
+    files;
+  let n_flow = Array.fold_left (fun acc a -> acc + Array.length a) 0 file_arcs in
+  Model.reserve model ~vars:(n_flow + n_links)
+    ~rows:(!node_copies + (2 * !used_slots))
+    ~terms:((2 * n_flow) + (2 * n_files) + (2 * n_tx) + !used_slots);
+  let registry =
+    Basis_map.Registry.create
+      ~cols:(Model.num_vars model + n_flow + n_links)
+      ~rows:(Model.num_rows model + !node_copies + (2 * !used_slots))
+  in
+  let first_var = Array.make n_files 0 in
+  Array.iteri
+    (fun fi f ->
+      first_var.(fi) <- Model.num_vars model;
+      Array.iter
+        (fun arc ->
+          match Texp.kind texp arc with
+          | Texp.Transmission { link; layer } ->
+              let obj = flow_obj ~cost:(Graph.arc graph arc).Graph.cost in
               let v = Model.add_var model ~lb:0. ~ub:f.File.size ~obj () in
               Basis_map.Registry.set_col registry v
-                (match kind with
-                 | Texp.Transmission { link; layer } ->
-                     Basis_map.Flow_tx
-                       { file = f.File.id; link; slot = epoch + layer }
-                 | Texp.Storage { node; layer } ->
-                     Basis_map.Flow_store
-                       { file = f.File.id; node; slot = epoch + layer });
-              Hashtbl.replace m_vars.(fi) a.Graph.id v
-            end
-          end))
+                (Basis_map.Flow_tx
+                   { file = f.File.id; link; slot = epoch + layer })
+          | Texp.Storage { node; layer } ->
+              let v = Model.add_var model ~lb:0. ~ub:f.File.size ~obj:0. () in
+              Basis_map.Registry.set_col registry v
+                (Basis_map.Flow_store
+                   { file = f.File.id; node; slot = epoch + layer }))
+        file_arcs.(fi))
     files;
   (* Per-file conservation at every usable node copy. With elastic supply,
-     the injected amount is the supply variable rather than F_k. *)
+     the injected amount is the supply variable rather than F_k. The terms
+     are staged in-arcs first, then out-arcs, each in insertion order:
+     ascending arc ids, so ascending variables. *)
+  let var_of_arc = Array.make (Graph.num_arcs graph) (-1) in
   Array.iteri
     (fun fi f ->
+      let arcs = file_arcs.(fi) in
+      Array.iteri (fun k arc -> var_of_arc.(arc) <- first_var.(fi) + k) arcs;
       let lo = window_lo f and hi = window_hi f in
+      let staged = ref 0 in
+      let stage c arc =
+        let v = var_of_arc.(arc) in
+        if v >= 0 then begin
+          Model.stage_term model (Model.var_of_index model v) c;
+          incr staged
+        end
+      in
+      let stage_in = stage (-1.) and stage_out = stage 1. in
       for layer = lo to hi do
         for node = 0 to n_base - 1 do
           if node_usable fi node layer then begin
             let expanded = Texp.node_at texp ~node ~layer in
-            let terms = ref [] in
-            if layer < hi then
-              List.iter
-                (fun id ->
-                  match Hashtbl.find_opt m_vars.(fi) id with
-                  | Some v -> terms := (v, 1.) :: !terms
-                  | None -> ())
-                (Graph.out_arcs (Texp.graph texp) expanded);
-            if layer > lo then
-              List.iter
-                (fun id ->
-                  match Hashtbl.find_opt m_vars.(fi) id with
-                  | Some v -> terms := (v, -1.) :: !terms
-                  | None -> ())
-                (Graph.in_arcs (Texp.graph texp) expanded);
             let is_source = node = f.File.src && layer = lo in
             let is_sink = node = f.File.dst && layer = hi in
-            let terms, rhs =
+            staged := 0;
+            (match supply with
+             | `Elastic v when is_source ->
+                 Model.stage_term model v.(fi) (-1.);
+                 incr staged
+             | `Elastic v when is_sink ->
+                 Model.stage_term model v.(fi) 1.;
+                 incr staged
+             | `Elastic _ | `Full -> ());
+            if layer > lo then Graph.iter_in_arcs graph expanded stage_in;
+            if layer < hi then Graph.iter_out_arcs graph expanded stage_out;
+            let rhs =
               match supply with
               | `Full ->
-                  ( !terms,
-                    if is_source then f.File.size
-                    else if is_sink then -.f.File.size
-                    else 0. )
-              | `Elastic v ->
-                  let extra =
-                    if is_source then [ (v.(fi), -1.) ]
-                    else if is_sink then [ (v.(fi), 1.) ]
-                    else []
-                  in
-                  (extra @ !terms, 0.)
+                  if is_source then f.File.size
+                  else if is_sink then -.f.File.size
+                  else 0.
+              | `Elastic _ -> 0.
             in
-            if terms <> [] || rhs <> 0. then begin
-              let row = Model.add_constraint model terms Model.Eq rhs in
+            if !staged > 0 || rhs <> 0. then begin
+              let row = Model.add_constraint model [] Model.Eq rhs in
               Basis_map.Registry.set_row registry row
                 (Basis_map.Conservation
                    { file = f.File.id; node; slot = epoch + layer })
             end
           end
         done
-      done)
+      done;
+      Array.iter (fun arc -> var_of_arc.(arc) <- -1) arcs)
     files;
-  (* Aggregate capacity rows per (link, layer) carrying variables. *)
+  let tx_vars = Array.make n_tx 0 in
+  let next = Array.sub tx_start 0 n_slots in
+  Array.iteri
+    (fun fi arcs ->
+      Array.iteri
+        (fun k arc ->
+          let s = slot_of_arc arc in
+          if s >= 0 then begin
+            tx_vars.(next.(s)) <- first_var.(fi) + k;
+            next.(s) <- next.(s) + 1
+          end)
+        arcs)
+    file_arcs;
+  (* Aggregate capacity rows per (layer, link) carrying variables. *)
   for layer = 0 to horizon - 1 do
-    Graph.iter_arcs base (fun a ->
-        let expanded_id = Texp.transmission_arc texp ~link:a.Graph.id ~layer in
-        let terms = ref [] in
-        Array.iter
-          (fun tbl ->
-            match Hashtbl.find_opt tbl expanded_id with
-            | Some v -> terms := (v, 1.) :: !terms
-            | None -> ())
-          m_vars;
-        if !terms <> [] then begin
-          let cap = capacity ~link:a.Graph.id ~layer in
-          if cap < infinity then begin
-            let row = Model.add_constraint model !terms Model.Le cap in
-            Basis_map.Registry.set_row registry row
-              (Basis_map.Capacity { link = a.Graph.id; slot = epoch + layer })
-          end
-        end)
+    for link = 0 to n_links - 1 do
+      let s = (layer * n_links) + link in
+      if tx_start.(s) < tx_start.(s + 1) then begin
+        let cap = capacity ~link ~layer in
+        if cap < infinity then begin
+          for k = tx_start.(s) to tx_start.(s + 1) - 1 do
+            Model.stage_term model (Model.var_of_index model tx_vars.(k)) 1.
+          done;
+          let row = Model.add_constraint model [] Model.Le cap in
+          Basis_map.Registry.set_row registry row
+            (Basis_map.Capacity { link; slot = epoch + layer })
+        end
+      end
+    done
   done;
   (match supply with
    | `Full -> ()
@@ -186,13 +289,15 @@ let build ~model ~base ~capacity ~files ~epoch ~flow_obj ~supply =
            Basis_map.Registry.set_col registry sv
              (Basis_map.Supply { file = files.(fi).File.id }))
          v);
-  { base; files; epoch; horizon; texp; m_vars; registry }
+  { base; files; epoch; horizon; texp; first_var; file_arcs; tx_start; tx_vars;
+    registry }
 
 let add_charge_coupling ~model t ~charged ~x_obj =
   if Array.length charged <> Graph.num_arcs t.base then
     invalid_arg "Texp_lp.add_charge_coupling: charged size mismatch";
+  let n_links = Graph.num_arcs t.base in
   let x_vars =
-    Array.init (Graph.num_arcs t.base) (fun l ->
+    Array.init n_links (fun l ->
         let a = Graph.arc t.base l in
         let v =
           Model.add_var model ~lb:charged.(l)
@@ -203,39 +308,62 @@ let add_charge_coupling ~model t ~charged ~x_obj =
         v)
   in
   for layer = 0 to t.horizon - 1 do
-    Graph.iter_arcs t.base (fun a ->
-        let expanded_id = Texp.transmission_arc t.texp ~link:a.Graph.id ~layer in
-        let terms = ref [] in
-        Array.iter
-          (fun tbl ->
-            match Hashtbl.find_opt tbl expanded_id with
-            | Some v -> terms := (v, 1.) :: !terms
-            | None -> ())
-          t.m_vars;
-        if !terms <> [] then begin
-          let row =
-            Model.add_constraint model
-              ((x_vars.(a.Graph.id), -1.) :: !terms)
-              Model.Le 0.
-          in
-          Basis_map.Registry.set_row t.registry row
-            (Basis_map.Charge_dom
-               { link = a.Graph.id; slot = t.epoch + layer })
-        end)
+    for link = 0 to n_links - 1 do
+      let s = (layer * n_links) + link in
+      if t.tx_start.(s) < t.tx_start.(s + 1) then begin
+        for k = t.tx_start.(s) to t.tx_start.(s + 1) - 1 do
+          Model.stage_term model (Model.var_of_index model t.tx_vars.(k)) 1.
+        done;
+        let row =
+          Model.add_constraint model [ (x_vars.(link), -1.) ] Model.Le 0.
+        in
+        Basis_map.Registry.set_row t.registry row
+          (Basis_map.Charge_dom { link; slot = t.epoch + layer })
+      end
+    done
   done;
   x_vars
 
 let eps_volume = 1e-7
 
+(* The ledger adds a plan's volumes up in the order the plan lists them, so
+   that order is part of the bill's arithmetic and is kept fixed: each
+   file's arcs are visited as a [Hashtbl.create 256] filled with them in
+   ascending order iterates — by bucket ([Hashtbl.hash arc] over the final
+   bucket count, which doubles while the table holds more than twice as
+   many entries), the newest arc first within a bucket. Returns the
+   positions in [arcs] in that order. *)
+let table_order arcs =
+  let n = Array.length arcs in
+  let buckets = ref 256 in
+  while n > 2 * !buckets do
+    buckets := 2 * !buckets
+  done;
+  let nb = !buckets in
+  let bucket = Array.map (fun arc -> Hashtbl.hash arc land (nb - 1)) arcs in
+  let next = Array.make (nb + 1) 0 in
+  Array.iter (fun b -> next.(b + 1) <- next.(b + 1) + 1) bucket;
+  for b = 1 to nb do
+    next.(b) <- next.(b) + next.(b - 1)
+  done;
+  let order = Array.make n 0 in
+  for k = n - 1 downto 0 do
+    let b = bucket.(k) in
+    order.(next.(b)) <- k;
+    next.(b) <- next.(b) + 1
+  done;
+  order
+
 let extract_plan t ~primal =
   let transmissions = ref [] and holdovers = ref [] in
   Array.iteri
     (fun fi f ->
-      Hashtbl.iter
-        (fun arc_id (v : Model.var) ->
-          let value = primal.((v :> int)) in
+      let arcs = t.file_arcs.(fi) in
+      Array.iter
+        (fun k ->
+          let value = primal.(t.first_var.(fi) + k) in
           if value > eps_volume then
-            match Texp.kind t.texp arc_id with
+            match Texp.kind t.texp arcs.(k) with
             | Texp.Transmission { link; layer } ->
                 transmissions :=
                   { Plan.file = f.File.id;
@@ -250,7 +378,7 @@ let extract_plan t ~primal =
                     h_slot = t.epoch + layer;
                     h_volume = value }
                   :: !holdovers)
-        t.m_vars.(fi))
+        (table_order arcs))
     t.files;
   { Plan.transmissions = !transmissions; holdovers = !holdovers }
 

@@ -572,7 +572,11 @@ let run_phase st =
    with Exit -> ());
   !result
 
-let initialize ?params:(p = default_params) ~a_rows sf =
+(* The factors of a state whose basis is not installed yet: a solve
+   against them fails its size check unless the program has no rows. *)
+let no_factors = Lu.diagonal [||]
+
+let initialize ?params:(p = default_params) ~a_rows ~cold sf =
   let m = sf.Standard_form.n_rows in
   let tot = Standard_form.total_vars sf in
   let nall = tot + m in
@@ -614,13 +618,10 @@ let initialize ?params:(p = default_params) ~a_rows sf =
     status.(art) <- Basic;
     x.(art) <- abs_float resid.(i)
   done;
-  (* The initial basis is the artificial diagonal, whose factorization is
-     immediate. *)
-  let lu0 =
-    match Lu.factorize ~dim:m (fun k -> [| (k, art_sign.(k)) |]) with
-    | Ok lu -> lu
-    | Error (Lu.Singular _) -> assert false
-  in
+  (* A cold start's basis is the artificial diagonal, whose factors are
+     written down directly. A warm start crashes its own basis and
+     refactorizes it before any solve, so it starts with no factors. *)
+  let lu0 = if cold then Lu.diagonal art_sign else no_factors in
   { p; sf; m; tot; nall; art_sign; lb; ub;
     cost = Array.make nall 0.;
     cost_orig = Array.make nall 0.;
@@ -1422,7 +1423,7 @@ let solve ?params ?warm_start ?(dual_reopt = true) model =
        outcome (after a warm fallback: the cold rerun, flagged
        [Warm_fell_back]). *)
     let cold ~warm () =
-      match initialize ?params ~a_rows sf with
+      match initialize ?params ~a_rows ~cold:true sf with
       | exception Numerical_failure -> (Status.Iteration_limit, None)
       | st ->
           st.warm <- warm;
@@ -1445,7 +1446,7 @@ let solve ?params ?warm_start ?(dual_reopt = true) model =
        telemetry. *)
     let dual_attempt_pivots = ref 0 in
     let primal_warm wb () =
-      match initialize ?params ~a_rows sf with
+      match initialize ?params ~a_rows ~cold:false sf with
       | exception Numerical_failure -> (Status.Iteration_limit, None)
       | st -> (
           match try_warm_start st wb with
@@ -1467,7 +1468,7 @@ let solve ?params ?warm_start ?(dual_reopt = true) model =
       | None -> cold ~warm:Status.No_warm_start ()
       | Some wb when not dual_reopt -> primal_warm wb ()
       | Some wb -> (
-          match initialize ?params ~a_rows sf with
+          match initialize ?params ~a_rows ~cold:false sf with
           | exception Numerical_failure -> (Status.Iteration_limit, None)
           | st -> (
               match try_dual_reopt st wb with

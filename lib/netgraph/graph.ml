@@ -74,6 +74,22 @@ let in_arcs g v =
   if v < 0 || v >= g.n then invalid_arg "Graph.in_arcs: node out of range";
   List.rev g.in_adj.(v)
 
+(* The adjacency lists hold the newest arc first; visiting the tail before
+   the head gives insertion order with no reversed copy. *)
+let rec iter_oldest_first f = function
+  | [] -> ()
+  | id :: rest ->
+      iter_oldest_first f rest;
+      f id
+
+let iter_out_arcs g v f =
+  if v < 0 || v >= g.n then invalid_arg "Graph.iter_out_arcs: node out of range";
+  iter_oldest_first f g.out_adj.(v)
+
+let iter_in_arcs g v f =
+  if v < 0 || v >= g.n then invalid_arg "Graph.iter_in_arcs: node out of range";
+  iter_oldest_first f g.in_adj.(v)
+
 let find_arc g ~src ~dst =
   if src < 0 || src >= g.n then invalid_arg "Graph.find_arc: src out of range";
   let rec search = function
@@ -99,13 +115,6 @@ let map_capacities g f =
   iter_arcs g (fun a ->
       ignore
         (add_arc g' ~src:a.src ~dst:a.dst ~capacity:(f a) ~cost:a.cost ()));
-  g'
-
-let reverse g =
-  let g' = create ~n:g.n in
-  iter_arcs g (fun a ->
-      ignore
-        (add_arc g' ~src:a.dst ~dst:a.src ~capacity:a.capacity ~cost:a.cost ()));
   g'
 
 let pp ppf g =

@@ -37,6 +37,13 @@ val out_arcs : t -> int -> int list
 
 val in_arcs : t -> int -> int list
 
+val iter_out_arcs : t -> int -> (int -> unit) -> unit
+(** [iter_out_arcs g v f] calls [f] on the ids of the arcs leaving [v], in
+    insertion order, without building the list {!out_arcs} returns. *)
+
+val iter_in_arcs : t -> int -> (int -> unit) -> unit
+(** [iter_in_arcs g v f] is {!iter_out_arcs} for the arcs entering [v]. *)
+
 val find_arc : t -> src:int -> dst:int -> int option
 (** First arc from [src] to [dst], if any. *)
 
@@ -45,8 +52,5 @@ val fold_arcs : t -> init:'a -> f:('a -> arc -> 'a) -> 'a
 
 val map_capacities : t -> (arc -> float) -> t
 (** Functional update of every arc capacity. *)
-
-val reverse : t -> t
-(** Same nodes, every arc reversed (ids preserved). *)
 
 val pp : Format.formatter -> t -> unit

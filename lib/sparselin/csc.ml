@@ -94,6 +94,14 @@ let finalize b =
     rowind = Array.sub out_rows 0 !out;
     values = Array.sub out_vals 0 !out }
 
+let of_arrays ~nrows ~ncols ~colptr ~rowind ~values =
+  if nrows < 0 || ncols < 0 then invalid_arg "Csc.of_arrays: negative dimension";
+  let nz = Array.length rowind in
+  if Array.length colptr <> ncols + 1 || colptr.(0) <> 0
+     || colptr.(ncols) <> nz || Array.length values <> nz
+  then invalid_arg "Csc.of_arrays: inconsistent arrays";
+  { nrows; ncols; colptr; rowind; values }
+
 let nrows m = m.nrows
 let ncols m = m.ncols
 let nnz m = m.colptr.(m.ncols)

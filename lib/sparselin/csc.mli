@@ -17,6 +17,21 @@ val finalize : builder -> t
     Within each column, rows are sorted ascending. The builder remains
     usable. *)
 
+val of_arrays :
+  nrows:int ->
+  ncols:int ->
+  colptr:int array ->
+  rowind:int array ->
+  values:float array ->
+  t
+(** Wrap arrays already in compressed sparse column form, without
+    copying: column [j]'s entries are [rowind.(k), values.(k)] for
+    [colptr.(j) <= k < colptr.(j + 1)]. The caller promises what
+    {!finalize} guarantees: [colptr] nondecreasing, rows in range and
+    strictly ascending within each column, no zero value. Only the array
+    lengths and the ends of [colptr] are checked ([Invalid_argument]).
+    The arrays must not be mutated afterwards. *)
+
 val nrows : t -> int
 val ncols : t -> int
 val nnz : t -> int

@@ -341,6 +341,22 @@ let factorize ?col_order ~dim col =
   factorize_iter ?col_order ~dim (fun j f ->
       Array.iter (fun (r, v) -> f r v) (col j))
 
+let diagonal d =
+  let n = Array.length d in
+  { n;
+    l_start = Array.make (n + 1) 0;
+    l_row = [||];
+    l_val = [||];
+    u_start = Array.make (n + 1) 0;
+    u_step = [||];
+    u_val = [||];
+    u_diag = Array.copy d;
+    pivot_row = Array.init n Fun.id;
+    pinv = Array.init n Fun.id;
+    q = Array.init n Fun.id;
+    input_nnz = n;
+    work = Array.make n 0. }
+
 (* Rank-revealing greedy pass used to repair a carried simplex basis: run
    the same left-looking elimination over [ncols] candidate columns, but
    instead of failing on a column with no acceptable pivot, skip it. The

@@ -47,6 +47,14 @@ val factorize_iter :
     straight into the elimination's scratch vectors with no intermediate
     per-column array. *)
 
+val diagonal : float array -> t
+(** [diagonal d] is the factorization of the diagonal matrix with the
+    nonzero entries [d], as {!factorize} would give it (identity
+    permutations, empty [L] and [U], [d] as the pivots), written down
+    directly in O(n). [d] is copied. Unlike {!factorize} it is not
+    counted in the [lu.*] metrics: nothing is eliminated. The simplex's
+    all-artificial starting basis is such a matrix. *)
+
 val crash_select :
   dim:int ->
   ncols:int ->

@@ -22,7 +22,16 @@ let test_adjacency () =
   let a31 = Graph.add_arc g ~src:3 ~dst:1 () in
   Alcotest.(check (list int)) "out 0" [ a01; a02 ] (Graph.out_arcs g 0);
   Alcotest.(check (list int)) "in 1" [ a01; a31 ] (Graph.in_arcs g 1);
-  Alcotest.(check (list int)) "out 2 empty" [] (Graph.out_arcs g 2)
+  Alcotest.(check (list int)) "out 2 empty" [] (Graph.out_arcs g 2);
+  (* The iterators visit the same arcs in the same (insertion) order. *)
+  let visited iter v =
+    let seen = ref [] in
+    iter g v (fun id -> seen := id :: !seen);
+    List.rev !seen
+  in
+  Alcotest.(check (list int)) "iter out 0" [ a01; a02 ] (visited Graph.iter_out_arcs 0);
+  Alcotest.(check (list int)) "iter in 1" [ a01; a31 ] (visited Graph.iter_in_arcs 1);
+  Alcotest.(check (list int)) "iter in 0 empty" [] (visited Graph.iter_in_arcs 0)
 
 let test_find_arc () =
   let g = Graph.create ~n:3 in
@@ -46,15 +55,6 @@ let test_invalid () =
   Alcotest.check_raises "negative capacity"
     (Invalid_argument "Graph.add_arc: negative capacity") (fun () ->
       ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:(-1.) ()))
-
-let test_reverse () =
-  let g = Graph.create ~n:2 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:3. ~cost:7. ());
-  let r = Graph.reverse g in
-  let a = Graph.arc r 0 in
-  Alcotest.(check int) "src flipped" 1 a.Graph.src;
-  Alcotest.(check int) "dst flipped" 0 a.Graph.dst;
-  Alcotest.(check (float 0.)) "cost kept" 7. a.Graph.cost
 
 let test_map_capacities () =
   let g = Graph.create ~n:2 in
@@ -106,7 +106,6 @@ let suite =
     Alcotest.test_case "find arc" `Quick test_find_arc;
     Alcotest.test_case "add node" `Quick test_add_node;
     Alcotest.test_case "invalid" `Quick test_invalid;
-    Alcotest.test_case "reverse" `Quick test_reverse;
     Alcotest.test_case "map capacities" `Quick test_map_capacities;
     Alcotest.test_case "topology complete" `Quick test_topology_complete;
     Alcotest.test_case "topology symmetric" `Quick test_topology_symmetric;

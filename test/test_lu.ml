@@ -297,6 +297,34 @@ let test_kernels_allocate_nothing () =
   measure "Eta.apply_ftran" (Sparselin.Eta.apply_ftran eta);
   measure "Eta.apply_btran" (Sparselin.Eta.apply_btran eta)
 
+(* The simplex's cold start writes the factors of its signed-identity
+   basis down directly: they must solve exactly as the factorization of
+   that matrix does. *)
+let test_diagonal_matches_factorize () =
+  let rng = Prelude.Rng.of_int 61 in
+  let n = 9 in
+  let d = Array.init n (fun _ -> if Prelude.Rng.bool rng then 1. else -1.) in
+  let f =
+    match Lu.factorize ~dim:n (fun k -> [| (k, d.(k)) |]) with
+    | Ok f -> f
+    | Error _ -> Alcotest.fail "unexpected singular"
+  in
+  let g = Lu.diagonal d in
+  Alcotest.(check int) "nnz" (Lu.nnz f) (Lu.nnz g);
+  Alcotest.(check int) "input nnz" (Lu.input_nnz f) (Lu.input_nnz g);
+  let bits a = Array.map Int64.bits_of_float a in
+  for _ = 1 to 20 do
+    let b = Array.init n (fun _ -> Prelude.Rng.float_range rng (-5.) 5.) in
+    let solve solver fact =
+      let x = Array.copy b in
+      solver fact x;
+      bits x
+    in
+    Alcotest.(check (array int64)) "solve" (solve Lu.solve f) (solve Lu.solve g);
+    Alcotest.(check (array int64)) "solve_transpose"
+      (solve Lu.solve_transpose f) (solve Lu.solve_transpose g)
+  done
+
 let test_col_order_must_be_permutation () =
   Alcotest.check_raises "repeated column"
     (Invalid_argument "Lu.factorize: col_order is not a permutation")
@@ -320,6 +348,8 @@ let suite =
       test_col_order_must_be_permutation;
     Alcotest.test_case "solves and eta updates allocate nothing" `Quick
       test_kernels_allocate_nothing;
+    Alcotest.test_case "diagonal factors match factorize" `Quick
+      test_diagonal_matches_factorize;
     QCheck_alcotest.to_alcotest prop_solve_residuals;
     QCheck_alcotest.to_alcotest prop_adjoint_identity;
     QCheck_alcotest.to_alcotest prop_crash_select_covers ]
