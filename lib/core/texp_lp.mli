@@ -69,7 +69,9 @@ val keymap : t -> model:Lp.Model.t -> Basis_map.keymap
     keys, including the charge columns and dominance rows of
     {!add_charge_coupling}; anything the caller added on top is keyed
     anonymously). Use with {!Basis_map.capture}/{!Basis_map.apply} to carry
-    a simplex basis from one epoch's LP to the next. *)
+    a simplex basis from one epoch's LP to the next. Take it last: once it
+    is taken, {!add_charge_coupling} on the same skeleton raises
+    [Invalid_argument]. *)
 
 val extract_plan : t -> primal:float array -> Plan.t
 (** Read the optimal fractions back into a slot-accurate plan (absolute
